@@ -151,7 +151,9 @@ let runner_rounds w ~domains =
   let plan = Pipeline.plan (Pipeline.create w.net) in
   fun () ->
     let emu = Dataplane.Emulator.create w.net in
-    ignore (Sdnprobe.Runner.execute ~config ~emulator:emu plan)
+    ignore
+      (Sdnprobe.Runner.execute_on ~config
+         ~backend:(Sdnprobe.Backend.of_emulator emu) plan)
 
 (* Full static plan from scratch, everything Pipeline.create does:
    rule graph + MLPC cover + unique headers + probes. This is the cost
@@ -162,7 +164,7 @@ let plan_full w () = ignore (Pipeline.create w.net)
    [plan_edit_pairs] remove-then-reinstall pairs pushed through one
    long-lived session with [Pipeline.apply] (steady state: the session
    and its caches persist across runs). Reported ns is per edit op
-   (two ops per pair) — the number scripts/check_plan_ratio.py
+   (two ops per pair) — the number scripts/check_ratio.py
    compares against plan.full. *)
 let plan_edit_pairs = 4
 
@@ -214,7 +216,7 @@ let verify_check w () =
 (* Amortized per-edit incremental re-verification: [edits_per_run]
    remove-then-reinstall cycles, each followed by a full re-check
    through Engine.update's patch path. Reported ns is per edit (two
-   edits per cycle), the number scripts/check_verify_ratio.py compares
+   edits per cycle), the number scripts/check_ratio.py compares
    against verify.closure. *)
 let verify_edits_per_run = 4
 
@@ -282,7 +284,7 @@ let micro_tests () =
    structural build alone (partition + per-region graphs/covers +
    stitching, no header assignment): the piece with a 1000-switch
    completion gate. shard.plan is the full sharded pipeline, probes
-   included — scripts/check_shard_ratio.py holds it to >= 2x over the
+   included — scripts/check_ratio.py holds it to >= 2x over the
    flat plan.full at 200 switches. *)
 let large_scale_entries scale =
   let _, net = Topogen.Preset.scale ~n_switches:scale in

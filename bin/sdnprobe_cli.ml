@@ -3,8 +3,7 @@
    Subcommands:
      list        enumerate available experiments
      experiment  run one experiment (or "all")
-     plan        generate a probe plan (optionally re-planned
-                 incrementally over an edit stream with --delta)
+     plan        generate a probe plan
      watch       long-running mode: consume a rule-update stream,
                  emit plan patches (and certificates) per batch
      edits       emit a deterministic synthetic edit stream
@@ -105,6 +104,14 @@ let env_pool () =
   if Sdn_parallel.default_domains () > 1 then Some (Sdn_parallel.default_pool ())
   else None
 
+(* Flat plan for plan and certify; --randomized draws from --seed. *)
+let flat_plan ~randomized ~seed net =
+  let mode =
+    if randomized then Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)
+    else Sdnprobe.Plan.Static
+  in
+  Pipeline.plan (Pipeline.create ?pool:(env_pool ()) ~mode net)
+
 (* Sharded planning (docs/SHARD.md), shared by plan and detect. *)
 let shards_term =
   Arg.(
@@ -123,8 +130,8 @@ let shard_target_term =
     & info [ "shard-target" ] ~docv:"N"
         ~doc:"Target region size (switches per region) for $(b,--shards).")
 
-(* Shared by plan --delta, watch and verify --edits FILE: read and
-   parse an edit stream ("-" = stdin). *)
+(* Shared by watch and verify --edits FILE: read and parse an edit
+   stream ("-" = stdin). *)
 let read_edit_batches path =
   let text =
     if path = "-" then In_channel.input_all In_channel.stdin
@@ -150,38 +157,15 @@ let plan_cmd =
              pipeline (SAT proofs, König matching certificate, cache-free \
              path replay, Yen re-check) and exit non-zero on failure.")
   in
-  let delta =
-    Arg.(
-      value & flag
-      & info [ "delta" ]
-          ~doc:
-            "Re-plan incrementally: generate the initial plan, then push the \
-             edit batches of $(b,--edits) through the planning session one \
-             batch at a time, printing each batch's plan patch. The patched \
-             plan is byte-identical to a from-scratch re-plan of the edited \
-             policy.")
-  in
-  let edits_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "edits" ] ~docv:"FILE"
-          ~doc:
-            "Edit stream for $(b,--delta) ($(b,-) = stdin): $(b,remove ID) / \
-             $(b,add ...) lines with $(b,commit) batch separators (see the \
-             $(b,edits) subcommand).")
-  in
   let json =
     Arg.(
       value & flag
       & info [ "json" ]
           ~doc:
-            "With $(b,--delta): emit one JSON object per batch (the full plan \
-             patch) instead of text summaries. With $(b,--shards): emit the \
-             plan summary and shard statistics as one JSON object.")
+            "With $(b,--shards): emit the plan summary and shard statistics \
+             as one JSON object.")
   in
-  let run switches seed randomized certify delta edits_file json shards
-      shard_target load save =
+  let run switches seed randomized certify json shards shard_target load save =
     let net = resolve_network ~switches ~seed load in
     (match save with
     | Some path ->
@@ -189,11 +173,11 @@ let plan_cmd =
         Format.printf "policy saved to %s@." path
     | None -> ());
     if shards then
-      if randomized || certify || delta then
+      if randomized || certify then
         `Error
           ( false,
             "--shards is its own planning pipeline; drop \
-             --randomized/--certify/--delta" )
+             --randomized/--certify" )
       else begin
         let splan =
           Shard.Splan.create ?pool:(env_pool ()) ?target:shard_target net
@@ -231,135 +215,39 @@ let plan_cmd =
         end;
         `Ok ()
       end
-    else if randomized && delta then
-      `Error (false, "--delta re-plans the static scheme; drop --randomized")
-    else if delta && edits_file = None then
-      `Error (false, "--delta needs an edit stream (--edits FILE, or --edits -)")
     else begin
-      let pool = env_pool () in
-      let static_session =
-        if randomized then None else Some (Pipeline.create ?pool net)
-      in
-      let plan =
-        match static_session with
-        | Some s -> Pipeline.plan s
-        | None ->
-            (Sdnprobe.Plan.generate [@alert "-deprecated"]) ?pool
-              ~mode:(Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)) net
-      in
-      if not (delta && json) then begin
-        Format.printf "%a@." Openflow.Network.pp_summary net;
-        Format.printf "probes: %d (generated in %.3fs)@." (Sdnprobe.Plan.size plan)
-          plan.Sdnprobe.Plan.generation_s;
-        let cover = plan.Sdnprobe.Plan.cover in
-        Format.printf "cover: mean path length %.2f, max %d, untestable rules %d@."
-          (Mlpc.Cover.mean_path_length cover)
-          (Mlpc.Cover.max_path_length cover)
-          (List.length cover.Mlpc.Cover.untestable);
-        List.iteri
-          (fun i (p : Sdnprobe.Probe.t) ->
-            if i < 10 then Format.printf "  %a@." Sdnprobe.Probe.pp p)
-          plan.Sdnprobe.Plan.probes;
-        if Sdnprobe.Plan.size plan > 10 then
-          Format.printf "  ... (%d more)@." (Sdnprobe.Plan.size plan - 10)
-      end;
-      if certify && not delta then begin
+      let plan = flat_plan ~randomized ~seed net in
+      Format.printf "%a@." Openflow.Network.pp_summary net;
+      Format.printf "probes: %d (generated in %.3fs)@." (Sdnprobe.Plan.size plan)
+        plan.Sdnprobe.Plan.generation_s;
+      let cover = plan.Sdnprobe.Plan.cover in
+      Format.printf "cover: mean path length %.2f, max %d, untestable rules %d@."
+        (Mlpc.Cover.mean_path_length cover)
+        (Mlpc.Cover.max_path_length cover)
+        (List.length cover.Mlpc.Cover.untestable);
+      List.iteri
+        (fun i (p : Sdnprobe.Probe.t) ->
+          if i < 10 then Format.printf "  %a@." Sdnprobe.Probe.pp p)
+        plan.Sdnprobe.Plan.probes;
+      if Sdnprobe.Plan.size plan > 10 then
+        Format.printf "  ... (%d more)@." (Sdnprobe.Plan.size plan - 10);
+      if certify then begin
         let report = Sdnprobe.Certify.run ~seed plan in
         Format.printf "%a" Sdnprobe.Certify.pp report;
         if not (Sdnprobe.Certify.ok_report report) then exit 1
       end;
-      if not delta then `Ok ()
-      else
-        match read_edit_batches (Option.get edits_file) with
-        | Error msg -> `Error (false, msg)
-        | Ok batches -> (
-            let session = ref (Option.get static_session) in
-            let all_ok = ref true in
-            try
-              List.iteri
-                (fun i batch ->
-                  let before = (Pipeline.plan !session).Sdnprobe.Plan.probes in
-                  let t0 = Sdn_util.Mono.now_s () in
-                  let session', patch = Pipeline.apply !session batch in
-                  let apply_s = Sdn_util.Mono.now_s () -. t0 in
-                  session := session';
-                  let after = Pipeline.plan !session in
-                  let certified =
-                    if not certify then None
-                    else begin
-                      let event =
-                        Sdnprobe.Report.patch_event_of_patch ~batch:(i + 1)
-                          ~plan_size_after:(Sdnprobe.Plan.size after) ~apply_s
-                          patch
-                      in
-                      let report =
-                        Sdnprobe.Certify.run_patch ~seed ~event ~before ~patch
-                          after
-                      in
-                      let ok = Sdnprobe.Certify.ok_report report in
-                      if not ok then all_ok := false;
-                      Some (report, ok)
-                    end
-                  in
-                  if json then
-                    print_endline
-                      (Sdn_util.Json.to_string
-                         (Sdn_util.Json.Obj
-                            ([
-                               ("batch", Sdn_util.Json.Int (i + 1));
-                               ("apply_s", Sdn_util.Json.Float apply_s);
-                               ( "plan_size",
-                                 Sdn_util.Json.Int (Sdnprobe.Plan.size after) );
-                               ("patch", Sdnprobe.Plan.patch_to_json patch);
-                             ]
-                            @
-                            match certified with
-                            | None -> []
-                            | Some (report, _) ->
-                                [ ("certificate", Sdnprobe.Certify.to_json report) ])))
-                  else begin
-                    Format.printf
-                      "batch %d: %d op(s) → +%d −%d ~%d probes (plan %d, %.3fs)@."
-                      (i + 1) (List.length batch)
-                      (List.length patch.Sdnprobe.Plan.added)
-                      (List.length patch.Sdnprobe.Plan.removed)
-                      (List.length patch.Sdnprobe.Plan.rewritten)
-                      (Sdnprobe.Plan.size after) apply_s;
-                    match certified with
-                    | Some (_, ok) ->
-                        Format.printf "  certificate: %s@."
-                          (if ok then "PASS" else "FAIL")
-                    | None -> ()
-                  end)
-                batches;
-              if not json then
-                Format.printf "final plan: %d probes after %d batch(es)@."
-                  (Sdnprobe.Plan.size (Pipeline.plan !session))
-                  (List.length batches);
-              if !all_ok then `Ok () else exit 1
-            with
-            | Pipeline.Edit_error msg -> `Error (false, "edit stream: " ^ msg)
-            | Rulegraph.Rule_graph.Cyclic_policy loop ->
-                `Error
-                  ( false,
-                    Format.asprintf
-                      "edit stream introduces a forwarding loop through \
-                       entries %a"
-                      Fmt.(list ~sep:comma int)
-                      loop ))
+      `Ok ()
     end
   in
   Cmd.v
     (Cmd.info "plan"
        ~doc:
-         "Generate and summarize a test-packet plan; with $(b,--delta), keep \
-          the planning session open and re-plan incrementally over an edit \
-          stream")
+         "Generate and summarize a test-packet plan (re-plan incrementally \
+          over an edit stream with $(b,watch))")
     Term.(
       ret
-        (const run $ switches_term $ seed_term $ randomized $ certify $ delta
-       $ edits_file $ json $ shards_term $ shard_target_term $ load_term
-       $ save_term))
+        (const run $ switches_term $ seed_term $ randomized $ certify $ json
+       $ shards_term $ shard_target_term $ load_term $ save_term))
 
 (* ------------------------------------------------------------------ *)
 (* watch *)
@@ -380,8 +268,9 @@ let watch_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit one JSON object per batch (patch + certificate verdict) and \
-             a final summary object, one per line.")
+            "Emit one JSON object per batch (patch, certificate verdict and \
+             the full certificate report) and a final summary object, one per \
+             line.")
   in
   let no_certify =
     Arg.(
@@ -428,7 +317,7 @@ let watch_cmd =
                   in
                   let ok = Sdnprobe.Certify.ok_report report in
                   if not ok then all_ok := false;
-                  Some ok
+                  Some (report, ok)
                 end
               in
               if json then
@@ -445,7 +334,11 @@ let watch_cmd =
                         @
                         match certified with
                         | None -> []
-                        | Some ok -> [ ("certified", Sdn_util.Json.Bool ok) ])))
+                        | Some (report, ok) ->
+                            [
+                              ("certified", Sdn_util.Json.Bool ok);
+                              ("certificate", Sdnprobe.Certify.to_json report);
+                            ])))
               else begin
                 Format.printf
                   "batch %d: %d op(s) → +%d −%d ~%d probes (plan %d, %.3fs)%s@."
@@ -456,8 +349,8 @@ let watch_cmd =
                   (Sdnprobe.Plan.size after) apply_s
                   (match certified with
                   | None -> ""
-                  | Some true -> " [certified]"
-                  | Some false -> " [CERTIFICATION FAILED]")
+                  | Some (_, true) -> " [certified]"
+                  | Some (_, false) -> " [CERTIFICATION FAILED]")
               end)
             batches;
           let events = List.rev !events in
@@ -570,8 +463,7 @@ let edits_cmd =
        ~doc:
          "Emit a deterministic synthetic rule-update stream (remove + \
           reinstall churn) for the same policy the other subcommands build \
-          from --switches/--seed — pipe it into $(b,watch) or $(b,plan \
-          --delta)")
+          from --switches/--seed — pipe it into $(b,watch)")
     Term.(const run $ switches_term $ seed_term $ load_term $ batches $ ops)
 
 (* ------------------------------------------------------------------ *)
@@ -1016,12 +908,7 @@ let certify_cmd =
       if campus then Topogen.Campus.synthesize (Sdn_util.Prng.create seed)
       else resolve_network ~switches ~seed load
     in
-    match
-      if randomized then
-        (Sdnprobe.Plan.generate [@alert "-deprecated"]) ?pool:(env_pool ())
-          ~mode:(Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)) net
-      else Pipeline.plan (Pipeline.create ?pool:(env_pool ()) net)
-    with
+    match flat_plan ~randomized ~seed net with
     | exception Rulegraph.Rule_graph.Cyclic_policy loop ->
         `Error
           ( false,
@@ -1121,8 +1008,8 @@ let verify_cmd =
              incrementally. An integer $(docv) applies that many random \
              single-rule edits (remove one entry, reinstall it) — the delta \
              worklist path the bench suite measures. Anything else is read as \
-             an edit-stream file ($(b,-) = stdin, same format as $(b,plan \
-             --delta) and $(b,watch)), re-verified once per batch.")
+             an edit-stream file ($(b,-) = stdin, same format as \
+             $(b,watch)), re-verified once per batch.")
   in
   let run switches seed campus load invs spec json timings fail_on edits =
     let net =

@@ -14,6 +14,7 @@ module FE = Openflow.Flow_entry
 module Net = Openflow.Network
 module Emu = Dataplane.Emulator
 module Fault = Dataplane.Fault
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 
@@ -26,7 +27,7 @@ let audit name emulator ~expect =
     Runner.stop_any [ stop; (fun ~detections:_ ~round ~time_s:_ -> round >= 8) ]
   in
   let report =
-    Runner.execute ~stop ~config ~emulator
+    Runner.execute_on ~stop ~config ~backend:(Backend.of_emulator emulator)
       (Pipeline.plan (Pipeline.create (Dataplane.Emulator.network emulator)))
   in
   Format.printf "%a@." Report.pp report;

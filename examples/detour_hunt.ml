@@ -12,6 +12,7 @@ module FE = Openflow.Flow_entry
 module Net = Openflow.Network
 module Emu = Dataplane.Emulator
 module Fault = Dataplane.Fault
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 module RG = Rulegraph.Rule_graph
@@ -50,10 +51,10 @@ let () =
     Emu.set_fault emulator ~entry:compromised.FE.id (Fault.make (Fault.Detour peer));
     let config = Sdnprobe.Config.make ~max_rounds:500 () in
     let report =
-      Runner.execute
+      Runner.execute_on
         ~stop:(Runner.stop_when_flagged [ compromised.FE.switch ])
-        ~config ~emulator
-        ((Sdnprobe.Plan.generate [@alert "-deprecated"]) ~mode net)
+        ~config ~backend:(Backend.of_emulator emulator)
+        (Pipeline.plan (Pipeline.create ~mode net))
     in
     let found = List.mem compromised.FE.switch (Report.flagged_switches report) in
     Format.printf "%s: %s (rounds %d, %.1fs virtual)@." name

@@ -12,6 +12,7 @@
 module FE = Openflow.Flow_entry
 module Emu = Dataplane.Emulator
 module Fault = Dataplane.Fault
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 
@@ -36,9 +37,9 @@ let () =
 
   let config = Sdnprobe.Config.make ~max_rounds:400 () in
   let report =
-    Runner.execute
+    Runner.execute_on
       ~stop:(Runner.stop_when_flagged [ victim.FE.switch ])
-      ~config ~emulator
+      ~config ~backend:(Backend.of_emulator emulator)
       (Pipeline.plan (Pipeline.create net))
   in
   List.iter

@@ -59,9 +59,9 @@ let () =
 
   (* 5. Localize with Algorithm 2. *)
   let report =
-    Sdnprobe.Runner.execute
+    Sdnprobe.Runner.execute_on
       ~stop:(Sdnprobe.Runner.stop_when_flagged [ b ])
-      ~config:Sdnprobe.Config.default ~emulator
+      ~config:Sdnprobe.Config.default ~backend:(Sdnprobe.Backend.of_emulator emulator)
       (Pipeline.plan (Pipeline.create net))
   in
   Format.printf "%a@." Sdnprobe.Report.pp report;

@@ -19,26 +19,12 @@ let probes_of_assignment net rg assigned =
       Probe.make net ~id:i ~rules ~header)
     assigned
 
-let of_cover ?pool net rg ~policy cover =
-  probes_of_assignment net rg (Mlpc.Headers.assign ?pool policy cover)
-
-let generate ?pool ?(mode = Static) network =
-  let t0 = Sdn_util.Mono.now_s () in
-  let rulegraph = RG.build network in
-  let cover, policy =
-    match mode with
-    | Static -> (Mlpc.Legal_matching.solve ?pool rulegraph, Mlpc.Headers.Sat_unique)
-    | Randomized rng ->
-        (Mlpc.Legal_matching.randomized ?pool rng rulegraph, Mlpc.Headers.Random rng)
-  in
-  let probes = of_cover ?pool network rulegraph ~policy cover in
-  { network; rulegraph; cover; probes; generation_s = Sdn_util.Mono.now_s () -. t0; mode }
-
 let redraw ?pool t rng =
   let t0 = Sdn_util.Mono.now_s () in
   let cover = Mlpc.Legal_matching.randomized ?pool rng t.rulegraph in
   let probes =
-    of_cover ?pool t.network t.rulegraph ~policy:(Mlpc.Headers.Random rng) cover
+    probes_of_assignment t.network t.rulegraph
+      (Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)
   in
   {
     t with

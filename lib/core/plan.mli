@@ -1,9 +1,10 @@
-(** Probe-plan generation: the paper's test-packet generation stage
-    (Figure 2) end to end — rule graph, MLPC, header construction.
+(** Probe plans: the output of the paper's test-packet generation stage
+    (Figure 2) — rule graph, MLPC cover, headers, probes. Plans are
+    built by a [Pipeline] session ([Pipeline.create ?mode]).
 
-    A generated plan keeps its rule graph so Randomized SDNProbe can
-    cheaply re-draw paths each detection cycle ("tested path
-    randomization can reuse the same rule graph", §V-C). *)
+    A plan keeps its rule graph so Randomized SDNProbe can cheaply
+    re-draw paths each detection cycle ("tested path randomization can
+    reuse the same rule graph", §V-C). *)
 
 type mode =
   | Static  (** SDNProbe: minimum cover, SAT-unique headers *)
@@ -21,45 +22,21 @@ type t = {
       (** how the plan was drawn — carries the redraw capability: a
           [Randomized] plan re-draws fresh paths (over the kept rule
           graph) at every detection-cycle boundary of
-          {!Runner.execute} *)
+          {!Runner.execute_on} *)
 }
-
-val generate : ?pool:Sdn_parallel.Pool.t -> ?mode:mode -> Openflow.Network.t -> t
-[@@deprecated "use Pipeline.create, which keeps the session for incremental re-planning"]
-(** Build the full pipeline. [mode] defaults to [Static]. With [pool]
-    the matching's legality warm-up and the header assignment run in
-    parallel; the plan is byte-identical for any domain count (see
-    {!Mlpc.Legal_matching.solve} and {!Mlpc.Headers.assign}). Raises
-    {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies.
-
-    @deprecated One-shot batch entry point, kept as a shim. New code
-    should create a [Pipeline.t] (library [pipeline]) — its [plan] is
-    byte-identical to this function's output, and the session can then
-    absorb flow-table churn incrementally via [Pipeline.apply]. *)
 
 val redraw : ?pool:Sdn_parallel.Pool.t -> t -> Sdn_util.Prng.t -> t
 (** New randomized paths + headers over the existing rule graph (used
     between detection cycles by Randomized SDNProbe). *)
-
-val of_cover :
-  ?pool:Sdn_parallel.Pool.t ->
-  Openflow.Network.t ->
-  Rulegraph.Rule_graph.t ->
-  policy:Mlpc.Headers.policy ->
-  Mlpc.Cover.t ->
-  Probe.t list
-(** Lower a cover to probes with the given header policy (probe ids are
-    indices into the cover's path list). *)
 
 val probes_of_assignment :
   Openflow.Network.t ->
   Rulegraph.Rule_graph.t ->
   (Mlpc.Cover.path * Hspace.Header.t) list ->
   Probe.t list
-(** The second half of {!of_cover}: lower an already-assigned cover to
-    probes. Split out so a caller can run {!Mlpc.Headers.assign} itself
-    with a speculation memo ([Pipeline] does) and still produce probes
-    the standard way. *)
+(** Lower an already-assigned cover to probes (probe ids are indices
+    into the cover's path list). The caller runs {!Mlpc.Headers.assign}
+    itself, with a speculation memo when it has one ([Pipeline] does). *)
 
 val size : t -> int
 (** Number of probes (= test packets). *)

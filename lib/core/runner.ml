@@ -1,4 +1,3 @@
-module Emulator = Dataplane.Emulator
 module Clock = Dataplane.Clock
 module FE = Openflow.Flow_entry
 module Network = Openflow.Network
@@ -109,7 +108,6 @@ let engine ?(stop = stop_never) ?redraw ?region_of ?(name = "sdnprobe") ~config
   let retransmissions = ref 0 in
   let round_stats = ref [] in
   let round = ref 0 in
-  let cycle = ref 0 in
   let active = ref probes in
   let finished = ref false in
   let per_packet_us = Config.serialization_us config ~packets:1 in
@@ -214,13 +212,9 @@ let engine ?(stop = stop_never) ?redraw ?region_of ?(name = "sdnprobe") ~config
         end)
       results;
     (* New cycle when no suspected paths remain. *)
-    (if !follow_up = [] then begin
-       incr cycle;
-       match redraw with
-       | Some f -> active := f ~cycle:!cycle
-       | None -> active := probes
-     end
-     else active := !follow_up);
+    (active :=
+       if !follow_up <> [] then !follow_up
+       else match redraw with Some f -> f () | None -> probes);
     retransmissions := !retransmissions + counters.retries;
     round_stats :=
       {
@@ -264,26 +258,11 @@ let execute_on ?stop ?name ~config ~(backend : Backend.t) (plan : Plan.t) =
     | None, Plan.Static -> ("sdnprobe", None)
     | name, Plan.Randomized rng ->
         ( Option.value ~default:"randomized-sdnprobe" name,
-          Some (fun ~cycle:_ -> (Plan.redraw ?pool plan rng).Plan.probes) )
+          Some (fun () -> (Plan.redraw ?pool plan rng).Plan.probes) )
   in
   engine ?stop ?redraw ~name ~config ~backend ~generation_s:plan.Plan.generation_s
     plan.Plan.probes
 
-let execute ?stop ?name ~config ~emulator (plan : Plan.t) =
-  execute_on ?stop ?name ~config ~backend:(Backend.of_emulator emulator) plan
-
 let execute_probes ?stop ?name ?region_of ~config ~(backend : Backend.t)
     ~generation_s probes =
   engine ?stop ?region_of ?name ~config ~backend ~generation_s probes
-
-let run ?stop ?redraw ?name ~config ~emulator ~generation_s probes =
-  engine ?stop ?redraw ?name ~config ~backend:(Backend.of_emulator emulator)
-    ~generation_s probes
-
-let detect ?stop ?(mode = Plan.Static) ~config emulator =
-  (* The shim below is itself deprecated; it may keep calling the
-     deprecated batch generator. *)
-  let[@alert "-deprecated"] plan =
-    Plan.generate ?pool:(Config.pool config) ~mode (Emulator.network emulator)
-  in
-  execute ?stop ~config ~emulator plan

@@ -12,6 +12,7 @@ module Emu = Dataplane.Emulator
 module Fault = Dataplane.Fault
 module FE = Openflow.Flow_entry
 module Prng = Sdn_util.Prng
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 
@@ -85,9 +86,9 @@ let threshold_ablation ~scale =
            Fault.Drop_packet);
       let config = Sdnprobe.Config.make ~threshold ~max_rounds:300 () in
       let report =
-        Runner.execute
+        Runner.execute_on
           ~stop:(Runner.stop_when_flagged [ entry.FE.switch ])
-          ~config ~emulator
+          ~config ~backend:(Backend.of_emulator emulator)
           (Pipeline.plan (Pipeline.create net))
       in
       let flagged = Report.flagged_switches report in

@@ -23,6 +23,7 @@ module Network = Openflow.Network
 module Prng = Sdn_util.Prng
 module Json = Sdn_util.Json
 module Report = Sdnprobe.Report
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 
 let schema_version = 1
@@ -60,14 +61,12 @@ let impaired_emulator net ~loss =
       (Impairment.create (Impairment.spec ~seed:impair_seed ~loss_rate:loss ()));
   emulator
 
-(* Static plans come from a [Pipeline] session; randomized plans stay
-   on the (deprecated) batch generator — they re-draw per cycle and
-   have no session state to keep. *)
 let plan_of ~randomized ~seed net =
-  if randomized then
-    (Sdnprobe.Plan.generate [@alert "-deprecated"])
-      ~mode:(Sdnprobe.Plan.Randomized (Prng.create seed)) net
-  else Pipeline.plan (Pipeline.create net)
+  let mode =
+    if randomized then Sdnprobe.Plan.Randomized (Prng.create seed)
+    else Sdnprobe.Plan.Static
+  in
+  Pipeline.plan (Pipeline.create ~mode net)
 
 let scheme_name ~randomized = if randomized then "rand-sdnprobe" else "sdnprobe"
 
@@ -86,18 +85,18 @@ let run_point net ~loss ~randomized =
   let emulator = impaired_emulator net ~loss in
   let truth = inject_one_modify (Prng.create 7) net emulator in
   let report =
-    Runner.execute
+    Runner.execute_on
       ~stop:(Runner.stop_when_flagged [ truth ])
-      ~config ~emulator
+      ~config ~backend:(Backend.of_emulator emulator)
       (plan_of ~randomized ~seed:5 net)
   in
   let flagged = Report.flagged_switches report in
   (* Pure-loss run: same environment, no fault; bounded rounds. *)
   let pure_emulator = impaired_emulator net ~loss in
   let pure_report =
-    Runner.execute
+    Runner.execute_on
       ~config:Sdnprobe.Config.(with_max_rounds 40 resilient)
-      ~emulator:pure_emulator
+      ~backend:(Backend.of_emulator pure_emulator)
       (plan_of ~randomized ~seed:5 net)
   in
   let pure_confusion =

@@ -72,12 +72,11 @@ let run ~scale =
         }
       in
       let net = Topogen.Rule_gen.install ~spec rng topo in
-      let t0 = Sdn_util.Mono.now_s () in
-      let rg = RG.build net in
-      let cover = Mlpc.Legal_matching.solve rg in
-      let probes = Mlpc.Headers.assign Mlpc.Headers.Sat_unique cover in
-      let pct = Sdn_util.Mono.now_s () -. t0 in
-      let nlps, mlps, alps, capped = legal_path_census rg ~cap:2_000_000 in
+      let session = Pipeline.create net in
+      let plan = Pipeline.plan session in
+      let nlps, mlps, alps, capped =
+        legal_path_census (Pipeline.rulegraph session) ~cap:2_000_000
+      in
       Metrics.Table.add_row table
         [
           string_of_int (i + 1);
@@ -87,8 +86,8 @@ let run ~scale =
           Metrics.Table.cell_i mlps;
           Metrics.Table.cell_f alps;
           (if capped then Printf.sprintf ">%d" nlps else Metrics.Table.cell_i nlps);
-          Metrics.Table.cell_i (List.length probes);
-          Metrics.Table.cell_f pct;
+          Metrics.Table.cell_i (Sdnprobe.Plan.size plan);
+          Metrics.Table.cell_f plan.Sdnprobe.Plan.generation_s;
         ])
     (sizes (scale = Exp_common.Quick));
   Metrics.Table.print table;

@@ -10,10 +10,9 @@ let name = function
   | Atpg -> "atpg"
   | Per_rule -> "per-rule"
 
-(* Randomized SDNProbe re-draws per cycle and has no incremental
-   session to keep, so it stays on the (deprecated) batch generator. *)
-let[@alert "-deprecated"] randomized_plan ~seed net =
-  Sdnprobe.Plan.generate ~mode:(Sdnprobe.Plan.Randomized (Prng.create seed)) net
+let randomized_plan ~seed net =
+  Pipeline.plan
+    (Pipeline.create ~mode:(Sdnprobe.Plan.Randomized (Prng.create seed)) net)
 
 let plan_size t ~seed net =
   match t with
@@ -26,7 +25,9 @@ let plan_size t ~seed net =
    baselines drive the emulator directly and have no wire port. *)
 let execute_plan ?stop ~config ~emulator plan =
   match config.Sdnprobe.Config.backend with
-  | Sdnprobe.Config.Emulator -> Sdnprobe.Runner.execute ?stop ~config ~emulator plan
+  | Sdnprobe.Config.Emulator ->
+      Sdnprobe.Runner.execute_on ?stop ~config
+        ~backend:(Sdnprobe.Backend.of_emulator emulator) plan
   | Sdnprobe.Config.Wire ->
       let w = Wire.create emulator in
       Fun.protect

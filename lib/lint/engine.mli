@@ -1,8 +1,7 @@
 (** The lint engine: runs registered {!Passes} over a network policy
     and collects diagnostics plus per-pass wall-clock timings.
 
-    This is the programmatic entry point behind [sdnprobe lint] and the
-    {!Rulegraph.Static_checks} compatibility shim. *)
+    This is the programmatic entry point behind [sdnprobe lint]. *)
 
 type report = {
   diagnostics : Diagnostic.t list;  (** in pass/emission order *)

@@ -24,12 +24,21 @@ let epoch t = t.epoch
 let entry_key rg (p : Mlpc.Cover.path) =
   List.map (fun v -> (RG.vertex_entry rg v).FE.id) p.Mlpc.Cover.rules
 
-let plan_of ?pool ~memo net rg =
-  let t0 = Sdn_util.Mono.now_s () in
-  let cover = Mlpc.Legal_matching.solve ?pool rg in
-  let assigned =
-    Mlpc.Headers.assign ?pool ~memo ~key:(entry_key rg) Mlpc.Headers.Sat_unique
-      cover
+(* Cover, headers and probes over [rg]. [t0] is when the rule-graph
+   stage started, so [generation_s] counts the whole pre-computation.
+   Randomized draws consume [rng] matching first, then headers; they
+   skip the memo, since a fresh draw reuses nothing. *)
+let plan_of ?pool ~mode ~memo ~t0 net rg =
+  let cover, assigned =
+    match mode with
+    | Sdnprobe.Plan.Static ->
+        let cover = Mlpc.Legal_matching.solve ?pool rg in
+        ( cover,
+          Mlpc.Headers.assign ?pool ~memo ~key:(entry_key rg)
+            Mlpc.Headers.Sat_unique cover )
+    | Sdnprobe.Plan.Randomized rng ->
+        let cover = Mlpc.Legal_matching.randomized ?pool rng rg in
+        (cover, Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)
   in
   let probes = Sdnprobe.Plan.probes_of_assignment net rg assigned in
   {
@@ -38,13 +47,15 @@ let plan_of ?pool ~memo net rg =
     cover;
     probes;
     generation_s = Sdn_util.Mono.now_s () -. t0;
-    mode = Sdnprobe.Plan.Static;
+    mode;
   }
 
-let create ?pool net =
+let create ?pool ?(mode = Sdnprobe.Plan.Static) net =
+  let t0 = Sdn_util.Mono.now_s () in
   let rg = RG.build net in
   let memo = Mlpc.Headers.memo_create () in
-  { pool; network = net; rulegraph = rg; memo; plan = plan_of ?pool ~memo net rg; epoch = 0 }
+  let plan = plan_of ?pool ~mode ~memo ~t0 net rg in
+  { pool; network = net; rulegraph = rg; memo; plan; epoch = 0 }
 
 let apply_op net (op : Edits.op) =
   match op with
@@ -91,8 +102,12 @@ let apply t (edits : Edits.t) =
     (t, { Sdnprobe.Plan.edits; added = []; removed = []; rewritten = [] })
   else begin
     let changed = dedup_tables (List.map (apply_op t.network) edits) in
+    let t0 = Sdn_util.Mono.now_s () in
     let rg = RG.update t.rulegraph ~changed_tables:changed in
-    let plan = plan_of ?pool:t.pool ~memo:t.memo t.network rg in
+    let plan =
+      plan_of ?pool:t.pool ~mode:t.plan.Sdnprobe.Plan.mode ~memo:t.memo ~t0
+        t.network rg
+    in
     let patch =
       Sdnprobe.Plan.diff ~edits ~before:t.plan.Sdnprobe.Plan.probes
         ~after:plan.Sdnprobe.Plan.probes

@@ -12,16 +12,20 @@
     exactly how the probe plan changed.
 
     {b Determinism contract.} Every stage of the incremental path is
-    canonical: after any sequence of {!apply} calls, [plan] is
-    byte-identical to [Pipeline.create] on the mutated network — same
+    canonical: after any sequence of {!apply} calls, a static session's
+    [plan] is byte-identical to [Pipeline.create] on the mutated network — same
     cover, same headers, same probes, same certificate — for any domain
     count. The only things allowed to differ are wall-clock fields
     ([generation_s]) and cache hit/miss tallies.
 
-    Sessions plan with SDNProbe's static scheme ([Mlpc.Headers.Sat_unique]
-    over the minimum cover). Randomized SDNProbe re-draws per detection
-    cycle anyway, so it has nothing to reuse across edits — use
-    {!Sdnprobe.Plan.redraw} (via [Runner.execute]) for that mode. *)
+    A session plans in one of the two modes of {!Sdnprobe.Plan.mode}:
+    SDNProbe's static scheme ([Mlpc.Headers.Sat_unique] over the
+    minimum cover), or Randomized SDNProbe (randomized greedy legal
+    matching, uniform header draws). Both share the incrementally
+    maintained rule graph (§V-C: path randomization "can reuse the same
+    rule graph"); a randomized session re-draws its paths over the
+    updated graph on every {!apply}, continuing its generator, and
+    {!Sdnprobe.Runner.execute_on} re-draws again per detection cycle. *)
 
 type t
 
@@ -31,14 +35,18 @@ exception Edit_error of string
     switch/table/port). Raised by {!apply_op} and {!apply}; see
     {!apply} for the state guarantee. *)
 
-val create : ?pool:Sdn_parallel.Pool.t -> Openflow.Network.t -> t
-(** Build a session: full rule graph, cover, headers, plan. Equivalent
-    to the deprecated [Plan.generate] but retains everything needed to
-    re-plan incrementally. Raises {!Rulegraph.Rule_graph.Cyclic_policy}
-    on looping policies. *)
+val create :
+  ?pool:Sdn_parallel.Pool.t -> ?mode:Sdnprobe.Plan.mode -> Openflow.Network.t -> t
+(** Build a session: full rule graph, cover, headers, plan. [mode]
+    defaults to [Static]; [Randomized rng] consumes [rng] for the
+    matching first, then the headers. With [pool] the matching's
+    legality warm-up and the header assignment run in parallel; the plan
+    is byte-identical for any domain count. The plan's [generation_s]
+    covers every stage, the rule-graph build included. Raises
+    {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies. *)
 
 val plan : t -> Sdnprobe.Plan.t
-(** The current plan. Its probes feed {!Sdnprobe.Runner.execute} and
+(** The current plan. It feeds {!Sdnprobe.Runner.execute_on} and
     {!Sdnprobe.Certify.run} unchanged. *)
 
 val network : t -> Openflow.Network.t
@@ -60,8 +68,10 @@ val apply_op : Openflow.Network.t -> Sdn_util.Edits.op -> int * int
 val apply : t -> Sdn_util.Edits.t -> t * Sdnprobe.Plan.patch
 (** Apply one batch atomically-in-intent: mutate the network, update
     the rule graph incrementally, re-solve the cover over retained
-    caches, re-assign headers through the speculation memo, and diff
-    the plans. The patch carries the batch itself as provenance.
+    caches, re-assign headers through the speculation memo (a
+    randomized session re-draws both instead), and diff the plans. The patch
+    carries the batch itself as provenance. The new plan's
+    [generation_s] counts from the rule-graph update.
 
     The input session must not be used afterwards: the network is
     mutated in place, so [t]'s plan no longer matches its network

@@ -1,7 +1,6 @@
 (** The rule-update stream: a textual (and JSON) edit format shared by
-    every consumer of flow-table churn — [sdnprobe verify --edits],
-    [sdnprobe plan --delta --edits] and the long-running
-    [sdnprobe watch] mode all parse exactly this.
+    every consumer of flow-table churn — [sdnprobe verify --edits] and
+    the long-running [sdnprobe watch] mode both parse exactly this.
 
     A stream is a sequence of {e batches}. Each batch is a list of
     operations applied atomically (one [Pipeline.apply] / one

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Unit tests for compare_bench.py's gating, in particular the
-host_cores: 1 rule: a candidate captured on a single core must not
+"""Unit tests for the bench gates. compare_bench.py: in particular the
+host_cores: 1 rule — a candidate captured on a single core must not
 fail the gate on */par4 entries (a 4-domain pool on one core measures
 scheduler contention, not the code), while serial entries keep gating
-and --gate-entry still force-gates par4. Stdlib only:
+and --gate-entry still force-gates par4. check_ratio.py: pass, fail
+and missing-entry cases of the speedup-ratio gate. Stdlib only:
 
     python3 scripts/test_compare_bench.py
 """
@@ -15,7 +16,9 @@ import sys
 import tempfile
 import unittest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "compare_bench.py")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SCRIPT = os.path.join(HERE, "compare_bench.py")
+RATIO_SCRIPT = os.path.join(HERE, "check_ratio.py")
 
 
 def capture(entries, host_cores):
@@ -170,6 +173,62 @@ class TestOneSidedEntries(unittest.TestCase):
         code, out = run(base, cur)
         self.assertNotEqual(code, 0, out)
         self.assertIn("verify.closure/16", out)
+
+
+def run_ratio(capture_path, *args):
+    proc = subprocess.run(
+        [sys.executable, RATIO_SCRIPT, capture_path, *args],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+class TestCheckRatio(unittest.TestCase):
+    """check_ratio.py gates NUM/DEN >= --min-ratio and the presence of
+    every --require entry."""
+
+    ENTRIES = {
+        "plan.full/200": 6e9,
+        "shard.plan/200": 2.5e9,
+        "shard.build/1000": 3.3e9,
+    }
+
+    def setUp(self):
+        self.path = capture(self.ENTRIES, 1)
+
+    def tearDown(self):
+        os.unlink(self.path)
+
+    def test_ratio_above_bound_passes(self):
+        code, out = run_ratio(
+            self.path, "plan.full/200", "shard.plan/200", "--min-ratio", "2",
+            "--require", "shard.build/1000",
+        )
+        self.assertEqual(code, 0, out)
+        self.assertIn("2.40x", out)
+
+    def test_ratio_below_bound_fails(self):
+        code, out = run_ratio(
+            self.path, "plan.full/200", "shard.plan/200", "--min-ratio", "3"
+        )
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("need 3.00x", out)
+
+    def test_missing_ratio_entry_fails(self):
+        code, out = run_ratio(
+            self.path, "plan.full/50", "plan.edit/50", "--min-ratio", "10"
+        )
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("missing entries: plan.full/50, plan.edit/50", out)
+
+    def test_missing_required_entry_fails(self):
+        code, out = run_ratio(
+            self.path, "plan.full/200", "shard.plan/200", "--min-ratio", "2",
+            "--require", "shard.plan/1000",
+        )
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("missing entries: shard.plan/1000", out)
 
 
 if __name__ == "__main__":

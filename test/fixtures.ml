@@ -121,3 +121,29 @@ let chain3 () =
       Openflow.Flow_entry.Drop
   in
   { cnet; r_a; r_b; r_c }
+
+(* Two rule graphs are the same graph up to vertex numbering: same
+   vertex count, same base and closure edges (named by entry id), same
+   input and output spaces per entry. *)
+let same_rulegraph a b =
+  let module RG = Rulegraph.Rule_graph in
+  let edge_ids rg g =
+    let acc = ref [] in
+    Sdngraph.Digraph.iter_edges
+      (fun u v ->
+        acc :=
+          ( (RG.vertex_entry rg u).Openflow.Flow_entry.id,
+            (RG.vertex_entry rg v).Openflow.Flow_entry.id )
+          :: !acc)
+      g;
+    List.sort compare !acc
+  in
+  RG.n_vertices a = RG.n_vertices b
+  && edge_ids a (RG.base_graph a) = edge_ids b (RG.base_graph b)
+  && edge_ids a (RG.graph a) = edge_ids b (RG.graph b)
+  && List.for_all
+       (fun v ->
+         let va = RG.vertex_of_entry a (RG.vertex_entry b v).Openflow.Flow_entry.id in
+         Hspace.Hs.equal_sets (RG.input a va) (RG.input b v)
+         && Hspace.Hs.equal_sets (RG.output a va) (RG.output b v))
+       (List.init (RG.n_vertices b) Fun.id)

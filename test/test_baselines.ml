@@ -7,6 +7,7 @@ module FE = Openflow.Flow_entry
 module Probe = Sdnprobe.Probe
 module Report = Sdnprobe.Report
 module Config = Sdnprobe.Config
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Hs = Hspace.Hs
 module RG = Rulegraph.Rule_graph
@@ -170,7 +171,7 @@ let test_atpg_computation_penalty () =
   let stop = Runner.stop_when_flagged [ Fixtures.sw_b ] in
   let sdn =
     let emulator = fault_on fx.Fixtures.net fx in
-    Runner.execute ~stop ~config ~emulator
+    Runner.execute_on ~stop ~config ~backend:(Backend.of_emulator emulator)
       (Pipeline.plan (Pipeline.create (Emu.network emulator)))
   in
   let atpg =

@@ -19,14 +19,13 @@ let check_int = Alcotest.(check int)
 
 let config = Config.default
 
-(* Deprecated-wrapper coverage: Runner.detect and randomized
-   Plan.generate are kept as shims and must keep working until removed;
-   these suppressed aliases are their only sanctioned callers here —
-   everything static goes through Pipeline. *)
-let[@alert "-deprecated"] detect_shim ?stop ?mode ~config emu =
-  Runner.detect ?stop ?mode ~config emu
-
-let[@alert "-deprecated"] generate_randomized ~mode net = Plan.generate ~mode net
+(* Plan the emulator's network in [mode] and run detection on it. *)
+let detect ?stop ?mode ~config emu =
+  let plan =
+    Pipeline.plan
+      (Pipeline.create ?pool:(Config.pool config) ?mode (Emu.network emu))
+  in
+  Runner.execute_on ?stop ~config ~backend:(Sdnprobe.Backend.of_emulator emu) plan
 
 (* ------------------------------------------------------------------ *)
 (* Probe mechanics *)
@@ -132,7 +131,9 @@ let test_plan_probes_pass_cleanly () =
 let test_plan_redraw_varies () =
   let fx = Fixtures.figure3 () in
   let rng = Prng.create 3 in
-  let plan = generate_randomized ~mode:(Plan.Randomized rng) fx.Fixtures.net in
+  let plan =
+    Pipeline.plan (Pipeline.create ~mode:(Plan.Randomized rng) fx.Fixtures.net)
+  in
   let covers =
     List.init 6 (fun _ ->
         let p = Plan.redraw plan rng in
@@ -144,7 +145,7 @@ let test_plan_redraw_varies () =
 (* End-to-end localization *)
 
 let run_static ?(cfg = config) ?stop emu =
-  detect_shim ?stop ~config:cfg emu
+  detect ?stop ~config:cfg emu
 
 let test_no_fault_no_detection () =
   let fx = Fixtures.figure3 () in
@@ -254,7 +255,7 @@ let test_targeting_fault_randomized_catches () =
     (Fault.make ~activation:(Fault.Targeting (Cube.of_string "0010xxx1")) Fault.Drop_packet);
   let cfg = Config.with_max_rounds 400 config in
   let report =
-    detect_shim
+    detect
       ~stop:(Runner.stop_when_flagged [ Fixtures.sw_b ])
       ~mode:(Plan.Randomized (Prng.create 11))
       ~config:cfg emu
@@ -278,7 +279,7 @@ let test_detour_randomized_detects () =
   Emu.set_fault emu ~entry:fx.Fixtures.a1.FE.id (Fault.make (Fault.Detour Fixtures.sw_c));
   let cfg = Config.with_max_rounds 600 config in
   let report =
-    detect_shim
+    detect
       ~stop:(Runner.stop_when_flagged [ Fixtures.sw_a ])
       ~mode:(Plan.Randomized (Prng.create 4))
       ~config:cfg emu
@@ -312,7 +313,7 @@ let test_empty_network () =
   check_int "no probes" 0 (Plan.size plan);
   let emu = Emu.create net in
   let cfg = Config.with_max_rounds 5 config in
-  let report = detect_shim ~config:cfg emu in
+  let report = detect ~config:cfg emu in
   check_bool "no detections" true (Report.flagged_switches report = []);
   check_int "no packets" 0 report.Report.packets_sent
 
@@ -332,12 +333,12 @@ let test_single_switch_plan () =
   check_bool "covers the rule" true (p.Probe.rules = [ e.FE.id ]);
   (* It passes on a healthy emulator... *)
   let emu = Emu.create net in
-  let report = detect_shim ~config:(Config.with_max_rounds 3 config) emu in
+  let report = detect ~config:(Config.with_max_rounds 3 config) emu in
   check_bool "healthy" true (Report.flagged_switches report = []);
   (* ... and a fault on it is localized. *)
   Emu.set_fault emu ~entry:e.FE.id (Fault.make Fault.Drop_packet);
   let report =
-    detect_shim ~stop:(Runner.stop_when_flagged [ 0 ]) ~config emu
+    detect ~stop:(Runner.stop_when_flagged [ 0 ]) ~config emu
   in
   check_bool "flagged" true (Report.flagged_switches report = [ 0 ])
 

@@ -322,35 +322,29 @@ let test_sorted_severity_order () =
   | [] -> Alcotest.fail "expected diagnostics"
 
 (* ------------------------------------------------------------------ *)
-(* Static_checks compatibility shim *)
+(* The legacy three-check contract: loop, blackhole and shadowed-rule
+   findings, loops first, then blackholes and shadows in ascending entry
+   order. *)
 
-module SC = Rulegraph.Static_checks
-
-let test_shim_matches_engine () =
+let test_legacy_checks () =
   let topo = Topology.create ~n_switches:2 in
   Topology.add_link topo ~sw_a:0 ~port_a:1 ~sw_b:1 ~port_b:1;
   let net = Network.create ~header_len:4 topo in
   let fwd = add net ~switch:0 ~priority:2 ~match_:"1xxx" (FE.Output 1) in
   let dead = add net ~switch:0 ~priority:1 ~match_:"11xx" (FE.Output 1) in
   let _ = add net ~switch:1 ~priority:1 ~match_:"11xx" FE.Drop in
-  (match SC.check net with
-  | [ SC.Blackhole { rule; next_switch; space }; SC.Shadowed_rule id ] ->
+  let report = Engine.run ~only:[ "L001"; "L002"; "L003" ] net in
+  match report.Engine.diagnostics with
+  | [
+   { D.check = "L002-blackhole"; entries = rule :: _; switch = Some sw; witness; _ };
+   { D.check = "L003-shadowed-rule"; entries = id :: _; _ };
+  ] ->
       check_int "blackhole rule" fwd.FE.id rule;
-      check_int "next switch" 1 next_switch;
-      check_bool "space" true (Hs.equal_sets space (Hs.of_cubes 4 [ Cube.of_string "10xx" ]));
+      check_int "next switch" 1 sw;
+      check_bool "space" true
+        (Hs.equal_sets witness (Hs.of_cubes 4 [ Cube.of_string "10xx" ]));
       check_int "shadowed" dead.FE.id id
-  | issues -> Alcotest.failf "unexpected shim result (%d issues)" (List.length issues));
-  check_bool "pp mentions priority" true
-    (let s =
-       Format.asprintf "%a" (SC.pp_issue net) (SC.Shadowed_rule dead.FE.id)
-     in
-     (* Satellite contract: priorities printed alongside ids. *)
-     let contains sub s =
-       let n = String.length sub in
-       let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-       go 0
-     in
-     contains "(p1)" s)
+  | ds -> Alcotest.failf "unexpected diagnostics (%d)" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
 (* Scale: the full registry over a generated Rocketfuel-like policy *)
@@ -429,7 +423,7 @@ let () =
           Alcotest.test_case "sorted order" `Quick test_sorted_severity_order;
         ] );
       ( "compat",
-        [ Alcotest.test_case "static_checks shim" `Quick test_shim_matches_engine ] );
+        [ Alcotest.test_case "legacy three checks" `Quick test_legacy_checks ] );
       ( "scale",
         [ Alcotest.test_case "50-switch generated" `Slow test_generated_scale ] );
     ]

@@ -123,8 +123,8 @@ let test_output_space () =
 
 (* Property: an entry's input space is empty exactly when the static
    checker reports it shadowed — [Flow_table.input_space] (including the
-   equal-priority id tiebreak) and the lint-backed [Static_checks] agree
-   on every random table. *)
+   equal-priority id tiebreak) and the lint engine's L003 shadowed-rule
+   pass agree on every random table. *)
 
 let gen_table =
   QCheck.Gen.(
@@ -153,11 +153,14 @@ let prop_shadow_iff_empty_input =
             Network.add_entry net ~switch:0 ~priority ~match_ FE.Drop)
           rows
       in
-      let issues = Rulegraph.Static_checks.check net in
+      let shadowed =
+        List.filter_map
+          (fun (d : Lint.Diagnostic.t) -> List.nth_opt d.Lint.Diagnostic.entries 0)
+          (Lint.Engine.run ~only:[ "L003-shadowed-rule" ] net).Lint.Engine.diagnostics
+      in
       List.for_all
         (fun (e : FE.t) ->
-          Hs.is_empty (Network.input_space net e)
-          = List.mem (Rulegraph.Static_checks.Shadowed_rule e.id) issues)
+          Hs.is_empty (Network.input_space net e) = List.mem e.id shadowed)
         entries)
 
 (* ------------------------------------------------------------------ *)

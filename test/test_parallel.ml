@@ -11,6 +11,7 @@ module Yen = Sdngraph.Yen
 module Emu = Dataplane.Emulator
 module Impairment = Dataplane.Impairment
 module Plan = Sdnprobe.Plan
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 module Config = Sdnprobe.Config
@@ -255,13 +256,10 @@ let scenario ~domains ~switches ~seed ~kind ~fraction ~randomized ~max_rounds ~i
     Config.with_domains domains (Config.with_max_rounds max_rounds Config.default)
   in
   let mode = if randomized then Plan.Randomized (Prng.create seed) else Plan.Static in
-  let plan =
-    match mode with
-    | Plan.Static -> Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net)
-    | _ -> (Plan.generate [@alert "-deprecated"]) ?pool:(Config.pool config) ~mode net
-  in
+  let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) ~mode net) in
   let report =
-    Runner.execute ~stop:(Runner.stop_when_flagged truth) ~config ~emulator:emu plan
+    Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
+      ~backend:(Backend.of_emulator emu) plan
   in
   (plan, report)
 
@@ -295,8 +293,8 @@ let test_cross_domain_identity_lossy () =
     in
     let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net) in
     let report =
-      Runner.execute ~stop:(Runner.stop_when_flagged truth) ~config ~emulator:emu
-        plan
+      Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
+        ~backend:(Backend.of_emulator emu) plan
     in
     (plan_fingerprint plan, canonical report)
   in

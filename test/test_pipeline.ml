@@ -142,6 +142,39 @@ let test_patch_certifies () =
   if not (Certify.ok_report report) then
     Alcotest.fail (Format.asprintf "%a" Certify.pp report)
 
+(* [generation_s] is the whole pre-computation, rule-graph build
+   included (Table II's PCT): it must account for nearly all of the
+   wall time spent in [Pipeline.create]. *)
+let test_generation_s_covers_create () =
+  let net = make_net ~switches:30 ~seed:1 in
+  let t0 = Sdn_util.Mono.now_s () in
+  let session = Pipeline.create net in
+  let wall = Sdn_util.Mono.now_s () -. t0 in
+  let gen = (Pipeline.plan session).Plan.generation_s in
+  if gen < 0.8 *. wall then
+    Alcotest.failf "generation_s %.3fs is under 0.8x of create's %.3fs" gen wall
+
+(* A randomized session re-draws over its incrementally updated rule
+   graph: after [apply] the graph matches a scratch build and the drawn
+   plan certifies. *)
+let test_randomized_apply () =
+  let net = make_net ~switches:8 ~seed:5 in
+  let mode = Plan.Randomized (Prng.create 17) in
+  let session = Pipeline.create ~mode net in
+  let edits = churn_batch (Prng.create 23) net ~ops:2 in
+  let session', patch = Pipeline.apply session edits in
+  check_bool "patch non-empty" false (Plan.patch_is_empty patch);
+  check_int "epoch" 1 (Pipeline.epoch session');
+  check_bool "rule graph = scratch build" true
+    (Fixtures.same_rulegraph (Pipeline.rulegraph session')
+       (Rulegraph.Rule_graph.build net));
+  let plan = Pipeline.plan session' in
+  check_bool "still randomized" true
+    (match plan.Plan.mode with Plan.Randomized _ -> true | Plan.Static -> false);
+  let report = Certify.run ~seed:11 plan in
+  if not (Certify.ok_report report) then
+    Alcotest.fail (Format.asprintf "%a" Certify.pp report)
+
 let test_edit_error_on_missing_id () =
   let net = make_net ~switches:8 ~seed:1 in
   let session = Pipeline.create net in
@@ -218,6 +251,9 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "patch certifies" `Quick test_patch_certifies;
           Alcotest.test_case "edit error" `Quick test_edit_error_on_missing_id;
+          Alcotest.test_case "generation_s covers create" `Quick
+            test_generation_s_covers_create;
+          Alcotest.test_case "randomized apply" `Quick test_randomized_apply;
           test_churn_identity;
         ] );
       ( "mutation-negatives",

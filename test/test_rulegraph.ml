@@ -245,27 +245,7 @@ let test_multi_table_goto () =
 (* Incremental updates *)
 
 let same_graphs rg_inc rg_full =
-  let edge_ids rg g =
-    let acc = ref [] in
-    Sdngraph.Digraph.iter_edges
-      (fun u v ->
-        acc :=
-          ((RG.vertex_entry rg u).FE.id, (RG.vertex_entry rg v).FE.id) :: !acc)
-      g;
-    List.sort compare !acc
-  in
-  check_int "same vertex count" (RG.n_vertices rg_full) (RG.n_vertices rg_inc);
-  check_bool "same base edges" true
-    (edge_ids rg_inc (RG.base_graph rg_inc) = edge_ids rg_full (RG.base_graph rg_full));
-  check_bool "same closure edges" true
-    (edge_ids rg_inc (RG.graph rg_inc) = edge_ids rg_full (RG.graph rg_full));
-  for v = 0 to RG.n_vertices rg_full - 1 do
-    let id = (RG.vertex_entry rg_full v).FE.id in
-    let vi = RG.vertex_of_entry rg_inc id in
-    check_bool "same input space" true (Hs.equal_sets (RG.input rg_inc vi) (RG.input rg_full v));
-    check_bool "same output space" true
-      (Hs.equal_sets (RG.output rg_inc vi) (RG.output rg_full v))
-  done
+  check_bool "same rule graph" true (Fixtures.same_rulegraph rg_inc rg_full)
 
 let test_incremental_add () =
   let f = Fixtures.figure3 () in
@@ -334,14 +314,24 @@ let test_incremental_cycle_detected () =
 (* ------------------------------------------------------------------ *)
 (* Static policy checks *)
 
-module SC = Rulegraph.Static_checks
+(* The loop, blackhole and shadowed-rule passes of the lint engine, as
+   (check id, diagnostic) pairs in emission order: the loop first, then
+   blackholes and shadows in ascending entry order. *)
+let static_checks net =
+  (Lint.Engine.run
+     ~only:[ "L001-forwarding-loop"; "L002-blackhole"; "L003-shadowed-rule" ]
+     net)
+    .Lint.Engine.diagnostics
+
+let of_check id ds =
+  List.filter (fun (d : Lint.Diagnostic.t) -> d.Lint.Diagnostic.check = id) ds
 
 let test_static_clean () =
   let f = Fixtures.figure3 () in
   check_bool "figure3 is clean of loops/shadows" true
     (List.for_all
-       (function SC.Blackhole _ -> true | _ -> false)
-       (SC.check f.Fixtures.net))
+       (fun (d : Lint.Diagnostic.t) -> d.Lint.Diagnostic.check = "L002-blackhole")
+       (static_checks f.Fixtures.net))
 
 let test_static_loop () =
   let topo = Openflow.Topology.create ~n_switches:2 in
@@ -350,8 +340,8 @@ let test_static_loop () =
   let m = Cube.of_string "1xxx" in
   let a = Network.add_entry net ~switch:0 ~priority:1 ~match_:m (FE.Output 1) in
   let b = Network.add_entry net ~switch:1 ~priority:1 ~match_:m (FE.Output 1) in
-  match SC.check net with
-  | SC.Forwarding_loop ids :: _ ->
+  match static_checks net with
+  | { Lint.Diagnostic.check = "L001-forwarding-loop"; entries = ids; _ } :: _ ->
       check_bool "both entries on the loop" true
         (List.sort compare ids = List.sort compare [ a.FE.id; b.FE.id ])
   | _ -> Alcotest.fail "expected a loop issue first"
@@ -368,19 +358,13 @@ let test_static_blackhole () =
   let _ =
     Network.add_entry net ~switch:1 ~priority:1 ~match_:(Cube.of_string "11xx") FE.Drop
   in
-  let blackholes =
-    List.filter_map
-      (function
-        | SC.Blackhole { rule; next_switch; space } -> Some (rule, next_switch, space)
-        | _ -> None)
-      (SC.check net)
-  in
-  match blackholes with
-  | [ (rule, next_switch, space) ] ->
+  match of_check "L002-blackhole" (static_checks net) with
+  | [ { Lint.Diagnostic.entries = rule :: _; switch = Some next_switch; witness; _ } ]
+    ->
       check_int "leaking rule" fwd.FE.id rule;
       check_int "at switch" 1 next_switch;
       check_bool "leaked space" true
-        (Hs.equal_sets space (Hs.of_cubes 4 [ Cube.of_string "10xx" ]))
+        (Hs.equal_sets witness (Hs.of_cubes 4 [ Cube.of_string "10xx" ]))
   | _ -> Alcotest.fail "expected exactly one blackhole"
 
 let test_static_shadowed () =
@@ -399,7 +383,10 @@ let test_static_shadowed () =
     Network.add_entry net ~switch:1 ~priority:1 ~match_:(Cube.of_string "xxxx") FE.Drop
   in
   check_bool "shadow reported" true
-    (List.mem (SC.Shadowed_rule shadowed.FE.id) (SC.check net))
+    (List.exists
+       (fun (d : Lint.Diagnostic.t) ->
+         List.nth_opt d.Lint.Diagnostic.entries 0 = Some shadowed.FE.id)
+       (of_check "L003-shadowed-rule" (static_checks net)))
 
 (* ------------------------------------------------------------------ *)
 (* Space caches *)
@@ -453,13 +440,11 @@ let test_static_generated_clean () =
   let topo = Topogen.Topo_gen.rocketfuel_like rng ~n_switches:10 () in
   let net = Topogen.Rule_gen.install rng topo in
   List.iter
-    (fun issue ->
-      match issue with
-      | SC.Forwarding_loop _ | SC.Shadowed_rule _ ->
-          Alcotest.failf "unexpected issue: %s"
-            (Format.asprintf "%a" (SC.pp_issue net) issue)
-      | SC.Blackhole _ -> () (* unused selector values die by design *))
-    (SC.check net)
+    (fun (d : Lint.Diagnostic.t) ->
+      if d.Lint.Diagnostic.check <> "L002-blackhole" then
+        (* unused selector values die by design: blackholes are fine *)
+        Alcotest.failf "unexpected issue: %a" Lint.Diagnostic.pp d)
+    (static_checks net)
 
 let () =
   Alcotest.run "rulegraph"

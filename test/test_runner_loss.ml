@@ -12,6 +12,7 @@ module FE = Openflow.Flow_entry
 module Network = Openflow.Network
 module Prng = Sdn_util.Prng
 module Plan = Sdnprobe.Plan
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 module Config = Sdnprobe.Config
@@ -51,6 +52,11 @@ let make_net ~switches ~seed =
   let topo = Topogen.Topo_gen.rocketfuel_like rng ~n_switches:switches () in
   Topogen.Rule_gen.install rng topo
 
+(* Static plan of [net], detected on [emu]. *)
+let run_static ?stop ~config emu net =
+  Runner.execute_on ?stop ~config ~backend:(Backend.of_emulator emu)
+    (Pipeline.plan (Pipeline.create net))
+
 let scenario ~switches ~seed ~kind ~fraction ~randomized ~max_rounds =
   let net = make_net ~switches ~seed in
   let emu = Emu.create net in
@@ -59,12 +65,10 @@ let scenario ~switches ~seed ~kind ~fraction ~randomized ~max_rounds =
   let mode =
     if randomized then Plan.Randomized (Prng.create seed) else Plan.Static
   in
-  Runner.execute
+  Runner.execute_on
     ~stop:(Runner.stop_when_flagged truth)
-    ~config ~emulator:emu
-    (match mode with
-    | Plan.Static -> Pipeline.plan (Pipeline.create net)
-    | _ -> (Plan.generate [@alert "-deprecated"]) ~mode net)
+    ~config ~backend:(Backend.of_emulator emu)
+    (Pipeline.plan (Pipeline.create ~mode net))
 
 let test_golden_static_drop () =
   let r =
@@ -99,7 +103,7 @@ let test_golden_no_fault () =
   let net = make_net ~switches:16 ~seed:3 in
   let emu = Emu.create net in
   let config = Config.with_max_rounds 12 Config.default in
-  let r = Runner.execute ~config ~emulator:emu (Pipeline.plan (Pipeline.create net)) in
+  let r = run_static ~config emu net in
   check_str "digest" "1bae728705dc15392db70260ae188acb" (digest r)
 
 (* ------------------------------------------------------------------ *)
@@ -123,9 +127,7 @@ let test_zero_impairment_identity =
              Config.with_max_rounds 25
                (if resilient then Config.resilient else Config.default)
            in
-           Runner.execute
-             ~stop:(Runner.stop_when_flagged truth)
-             ~config ~emulator:emu (Pipeline.plan (Pipeline.create net))
+           run_static ~stop:(Runner.stop_when_flagged truth) ~config emu net
          in
          canonical (run ~impair:false) = canonical (run ~impair:true)))
 
@@ -273,9 +275,7 @@ let lossy_run ~loss ~config ~seed =
   Emu.set_impairment emu
     (Impairment.create (Impairment.spec ~seed:77 ~loss_rate:loss ()));
   let truth = W.inject (Prng.create (seed + 1)) ~kind:W.Drop_only ~fraction:0.02 emu in
-  (truth, Runner.execute
-            ~stop:(Runner.stop_when_flagged truth)
-            ~config ~emulator:emu (Pipeline.plan (Pipeline.create net)))
+  (truth, run_static ~stop:(Runner.stop_when_flagged truth) ~config emu net)
 
 let test_seeded_loss_deterministic () =
   let config = Config.with_max_rounds 60 Config.resilient in
@@ -319,9 +319,7 @@ let test_loss_with_real_fault_exact () =
   Emu.set_fault emu ~entry:entry.FE.id (Fault.make (Fault.Rewrite !set));
   let config = Config.with_max_rounds 150 Config.resilient in
   let report =
-    Runner.execute
-      ~stop:(Runner.stop_when_flagged [ entry.FE.switch ])
-      ~config ~emulator:emu (Pipeline.plan (Pipeline.create net))
+    run_static ~stop:(Runner.stop_when_flagged [ entry.FE.switch ]) ~config emu net
   in
   check_bool "exactly the faulty switch" true
     (Report.flagged_switches report = [ entry.FE.switch ])
@@ -333,7 +331,7 @@ let test_pure_loss_no_false_positive () =
   Emu.set_impairment emu
     (Impairment.create (Impairment.spec ~seed:77 ~loss_rate:0.02 ()));
   let config = Config.with_max_rounds 40 Config.resilient in
-  let report = Runner.execute ~config ~emulator:emu (Pipeline.plan (Pipeline.create net)) in
+  let report = run_static ~config emu net in
   let confusion =
     Metrics.Confusion.pure_loss
       ~flagged:(Report.flagged_switches report)
@@ -430,7 +428,7 @@ let test_full_noise_no_false_positive () =
           ~churn:{ Impairment.churn_window_us = 250_000; out_ratio = 0.005 }
           ()));
   let config = Config.with_max_rounds 40 Config.resilient in
-  let report = Runner.execute ~config ~emulator:emu (Pipeline.plan (Pipeline.create net)) in
+  let report = run_static ~config emu net in
   check_bool "nothing flagged" true (Report.flagged_switches report = [])
 
 (* ------------------------------------------------------------------ *)

@@ -11,6 +11,7 @@ module FE = Openflow.Flow_entry
 module Partition = Shard.Partition
 module Splan = Shard.Splan
 module Plan = Sdnprobe.Plan
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 module Config = Sdnprobe.Config
@@ -88,15 +89,29 @@ let splan ?domains ?target net =
   let pool = Option.map pool domains in
   Splan.create ?pool ?target net
 
+(* Whole net in one region (a target past the switch count): no
+   stitching, the per-region cover IS the flat cover, so the probes must
+   be byte-identical to the flat plan's. This is the oracle for a
+   partition-parameterized planner. *)
 let test_splan_single_region_matches_flat () =
-  (* Whole net in one region: no stitching, the per-region cover IS the
-     flat cover, so probes must be byte-identical to the flat plan. *)
-  let net = make_net ~switches:16 ~seed:1 in
-  let flat = Pipeline.plan (Pipeline.create net) in
-  let sp = splan net in
-  check_int "one region" 1 sp.Splan.stats.Splan.regions;
-  check_str "probes match flat plan" (fingerprint flat.Plan.probes)
-    (fingerprint sp.Splan.probes)
+  let json probes =
+    List.map (fun p -> Sdn_util.Json.to_string (Sdnprobe.Probe.to_json p)) probes
+  in
+  List.iter
+    (fun (label, net, target) ->
+      let flat = Pipeline.plan (Pipeline.create net) in
+      let sp = splan ?target net in
+      check_int (label ^ ": one region") 1 sp.Splan.stats.Splan.regions;
+      check_bool (label ^ ": has probes") true (flat.Plan.probes <> []);
+      check_bool (label ^ ": probes match flat plan") true
+        (json flat.Plan.probes = json sp.Splan.probes))
+    (("16 switches, default target", make_net ~switches:16 ~seed:1, None)
+    :: List.map
+         (fun n ->
+           ( Printf.sprintf "preset %d, target %d" n (n + 1),
+             snd (Topogen.Preset.scale ~n_switches:n),
+             Some (n + 1) ))
+         [ 16; 50 ])
 
 let test_splan_covers_all_testable () =
   (* Two-level cover coverage: every entry is on some probe's rule list
@@ -228,7 +243,8 @@ let flat_flagged ~net ~seed ~impair ~domains =
   in
   let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net) in
   let report =
-    Runner.execute ~stop:(Runner.stop_when_flagged truth) ~config ~emulator:emu plan
+    Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
+      ~backend:(Backend.of_emulator emu) plan
   in
   Report.flagged_switches report
 

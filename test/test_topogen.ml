@@ -214,9 +214,9 @@ let test_acl_pipeline_probes () =
   let emu = Emu.create net in
   Emu.set_fault emu ~entry:victim.FE.id (Dataplane.Fault.make Dataplane.Fault.Drop_packet);
   let report =
-    Sdnprobe.Runner.execute
+    Sdnprobe.Runner.execute_on
       ~stop:(Sdnprobe.Runner.stop_when_flagged [ victim.FE.switch ])
-      ~config:Sdnprobe.Config.default ~emulator:emu
+      ~config:Sdnprobe.Config.default ~backend:(Sdnprobe.Backend.of_emulator emu)
       (Pipeline.plan (Pipeline.create net))
   in
   check_bool "localized" true

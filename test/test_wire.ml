@@ -9,6 +9,7 @@ module Network = Openflow.Network
 module Header = Hspace.Header
 module Prng = Sdn_util.Prng
 module Config = Sdnprobe.Config
+module Backend = Sdnprobe.Backend
 module Runner = Sdnprobe.Runner
 module Report = Sdnprobe.Report
 
@@ -81,7 +82,8 @@ let run_both ~switches ~seed ~config ~loss =
     let stop = Runner.stop_when_flagged truth in
     let report =
       match backend_kind with
-      | Config.Emulator -> Runner.execute ~stop ~config ~emulator:emu plan
+      | Config.Emulator ->
+          Runner.execute_on ~stop ~config ~backend:(Backend.of_emulator emu) plan
       | Config.Wire ->
           let w = Wire.create emu in
           Fun.protect
