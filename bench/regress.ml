@@ -112,7 +112,7 @@ let randomized w () =
    certification hooks (PR 4) stay free when unused. *)
 let headers_assign w () = ignore (Mlpc.Headers.assign Mlpc.Headers.Sat_unique w.cover)
 
-let yen_k8 ?pool w =
+let yen_k8 w =
   let g = Openflow.Topology.to_digraph w.topo in
   let n = Sdngraph.Digraph.n_vertices g in
   let rng = Sdn_util.Prng.create 7 in
@@ -122,23 +122,8 @@ let yen_k8 ?pool w =
         let d = Sdn_util.Prng.int rng n in
         (s, (if d = s then (d + 1) mod n else d)))
   in
-  fun () -> ignore (Sdngraph.Yen.k_shortest_pairs ?pool g ~pairs ~k:8)
-
-(* Parallel (/par4) variants of the four planning stages, through the
-   same public entry points the pipeline uses with [Config.pool]. *)
-
-let space_queries_par w pool () =
-  invalidate w.rg;
-  for _ = 1 to 3 do
-    ignore (RG.spaces ~pool w.rg w.cover_paths)
-  done
-
-let solve_par w pool () =
-  invalidate w.rg;
-  ignore (Mlpc.Legal_matching.solve ~pool w.rg)
-
-let headers_assign_par w pool () =
-  ignore (Mlpc.Headers.assign ~pool Mlpc.Headers.Sat_unique w.cover)
+  fun () ->
+    ignore (List.map (fun (src, dst) -> Sdngraph.Yen.k_shortest g ~src ~dst ~k:8) pairs)
 
 (* Ten probing rounds of the full static plan on a clean emulator —
    the detection loop's steady-state cost. With [domains > 1] and
@@ -256,8 +241,8 @@ let micro_tests () =
       (String.concat "" (List.init 80 (fun i -> if i mod 7 = 0 then "0x10x1xx" else "00101xx1")))
   in
   (* Constructors are the only interning sites since the selective-
-     interning fix; this micro is what distinguishes the sharded and
-     domain-local table backends (SDNPROBE_INTERN, docs/PARALLEL.md). *)
+     interning fix; this micro prices the mutex-sharded intern table
+     (docs/PARALLEL.md). *)
   let bits =
     Array.init 64 (fun i ->
         if i mod 7 = 0 then Hspace.Cube.Any
@@ -337,19 +322,17 @@ let entries ~scales =
         ])
       ws
   in
-  let pool = Sdn_parallel.pool ~domains:4 in
+  (* The pooled round send at the host's width, named /parN; a one-core
+     host has no pooled variant to measure. *)
+  let width = Domain.recommended_domain_count () in
   let par =
-    List.concat_map
-      (fun (scale, w) ->
-        let runs = runs_of scale in
-        [
-          (Printf.sprintf "rulegraph.spaces/%d/par4" scale, time_ns ~runs (space_queries_par w pool));
-          (Printf.sprintf "mlpc.solve/%d/par4" scale, time_ns ~runs (solve_par w pool));
-          (Printf.sprintf "headers.assign/%d/par4" scale, time_ns ~runs (headers_assign_par w pool));
-          (Printf.sprintf "yen.k8/%d/par4" scale, time_ns ~runs (yen_k8 ~pool w));
-          (Printf.sprintf "runner.round10/%d/par4" scale, time_ns ~runs (runner_rounds w ~domains:4));
-        ])
-      ws
+    if width < 2 then []
+    else
+      List.map
+        (fun (scale, w) ->
+          ( Printf.sprintf "runner.round10/%d/par%d" scale width,
+            time_ns ~runs:(runs_of scale) (runner_rounds w ~domains:width) ))
+        ws
   in
   micros @ serial @ par @ List.concat_map large_scale_entries large
 
@@ -396,7 +379,7 @@ let to_json ~scales ~baseline results =
       ("kind", Json.Str (if baseline = None then "bench-regress" else "bench-regress-report"));
       ("workload", Json.Str "rocketfuel-like preferential attachment + rule_gen");
       ("switches", Json.List (List.map (fun s -> Json.Int s) scales));
-      (* /par4 numbers only mean a speedup when the host has the cores;
+      (* /parN numbers only mean a speedup when the host has N cores;
          scaling tables must be read against this field (docs/PERF.md). *)
       ("host_cores", Json.Int (Domain.recommended_domain_count ()));
       ("entries", Json.List (List.map entry results));

@@ -97,9 +97,9 @@ let resolve_network ~switches ~seed = function
           prerr_endline ("cannot load policy: " ^ msg);
           exit 1)
 
-(* Planning pool from SDNPROBE_DOMAINS (docs/PARALLEL.md): detection
-   already resolves it through Config; these direct planning callers
-   must resolve it themselves. *)
+(* Pool from SDNPROBE_DOMAINS (docs/PARALLEL.md) for the direct callers
+   of the pooled stages — sharded region builds and verification;
+   detection resolves it through Config. *)
 let env_pool () =
   if Sdn_parallel.default_domains () > 1 then Some (Sdn_parallel.default_pool ())
   else None
@@ -110,7 +110,7 @@ let flat_plan ~randomized ~seed net =
     if randomized then Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)
     else Sdnprobe.Plan.Static
   in
-  Pipeline.plan (Pipeline.create ?pool:(env_pool ()) ~mode net)
+  Pipeline.plan (Pipeline.create ~mode net)
 
 (* Sharded planning (docs/SHARD.md), shared by plan and detect. *)
 let shards_term =
@@ -286,8 +286,7 @@ let watch_cmd =
     match read_edit_batches edits_file with
     | Error msg -> `Error (false, msg)
     | Ok batches -> (
-        let pool = env_pool () in
-        let session = ref (Pipeline.create ?pool net) in
+        let session = ref (Pipeline.create net) in
         if not json then
           Format.printf "watch: initial plan %d probes (%.3fs), %d batch(es) queued@."
             (Sdnprobe.Plan.size (Pipeline.plan !session))

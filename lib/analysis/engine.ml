@@ -15,16 +15,12 @@ let skip_dir name =
   name = "_build" || name = "analysis_fixtures"
   || (String.length name > 0 && name.[0] = '.')
 
-(* The five pooled-stage entry files: every module their closures can
-   reach is in scope for D005 (see Modgraph). *)
+(* The pooled-stage entry files — every file under lib/ that calls a
+   Pool combinator (test_analysis pins this list against the tree):
+   every module their closures can reach is in scope for D005 (see
+   Modgraph). *)
 let pooled_seeds =
-  [
-    "lib/rulegraph/rule_graph.ml";
-    "lib/mlpc/legal_matching.ml";
-    "lib/mlpc/headers.ml";
-    "lib/graph/yen.ml";
-    "lib/core/runner.ml";
-  ]
+  [ "lib/core/runner.ml"; "lib/shard/splan.ml"; "lib/verify/engine.ml" ]
 
 (* ------------------------------------------------------------------ *)
 (* Root autodetect: walk up from [start] until the tree looks like

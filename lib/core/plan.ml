@@ -19,12 +19,12 @@ let probes_of_assignment net rg assigned =
       Probe.make net ~id:i ~rules ~header)
     assigned
 
-let redraw ?pool t rng =
+let redraw t rng =
   let t0 = Sdn_util.Mono.now_s () in
-  let cover = Mlpc.Legal_matching.randomized ?pool rng t.rulegraph in
+  let cover = Mlpc.Legal_matching.randomized rng t.rulegraph in
   let probes =
     probes_of_assignment t.network t.rulegraph
-      (Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)
+      (Mlpc.Headers.assign (Mlpc.Headers.Random rng) cover)
   in
   {
     t with

@@ -25,7 +25,7 @@ type t = {
           {!Runner.execute_on} *)
 }
 
-val redraw : ?pool:Sdn_parallel.Pool.t -> t -> Sdn_util.Prng.t -> t
+val redraw : t -> Sdn_util.Prng.t -> t
 (** New randomized paths + headers over the existing rule graph (used
     between detection cycles by Randomized SDNProbe). *)
 
@@ -36,7 +36,7 @@ val probes_of_assignment :
   Probe.t list
 (** Lower an already-assigned cover to probes (probe ids are indices
     into the cover's path list). The caller runs {!Mlpc.Headers.assign}
-    itself, with a speculation memo when it has one ([Pipeline] does). *)
+    itself, with a transcript memo when it has one ([Pipeline] does). *)
 
 val size : t -> int
 (** Number of probes (= test packets). *)

@@ -251,14 +251,13 @@ let engine ?(stop = stop_never) ?redraw ?region_of ?(name = "sdnprobe") ~config
   }
 
 let execute_on ?stop ?name ~config ~(backend : Backend.t) (plan : Plan.t) =
-  let pool = Config.pool config in
   let name, redraw =
     match (name, plan.Plan.mode) with
     | Some n, Plan.Static -> (n, None)
     | None, Plan.Static -> ("sdnprobe", None)
     | name, Plan.Randomized rng ->
         ( Option.value ~default:"randomized-sdnprobe" name,
-          Some (fun () -> (Plan.redraw ?pool plan rng).Plan.probes) )
+          Some (fun () -> (Plan.redraw plan rng).Plan.probes) )
   in
   engine ?stop ?redraw ~name ~config ~backend ~generation_s:plan.Plan.generation_s
     plan.Plan.probes

@@ -24,9 +24,7 @@
     regression); {!equal} falls back to a structural comparison, so no
     correctness depends on identity. The intern table holds entries
     weakly (the GC reclaims unreferenced cubes) and is domain-safe:
-    sharded mutex-guarded tables by default, or one table per domain
-    with [SDNPROBE_INTERN=local] (see docs/PARALLEL.md for the
-    tradeoff). *)
+    sharded mutex-guarded tables (see docs/PARALLEL.md). *)
 
 type t
 
@@ -71,8 +69,7 @@ val hash : t -> int
 
 val interned_count : unit -> int
 (** Number of cubes currently alive in the intern table (weak count —
-    shrinks under GC; under [SDNPROBE_INTERN=local], the calling
-    domain's table only). Exposed for metrics and tests. *)
+    shrinks under GC). Exposed for metrics and tests. *)
 
 val is_concrete : t -> bool
 (** True when no position is a wildcard. *)

@@ -12,17 +12,15 @@ let sat_pick ~distinct_from hs =
   (* Try each cube of the space until the SAT query finds a header that
      differs from all previously chosen ones. Headers outside the cube
      make their distinct-from clause vacuous (any model inside the cube
-     satisfies it), and the canonical solver's lexicographically-least
-     model cannot be deflected by a clause the model already satisfies —
-     so dropping them changes nothing but the query size, which is what
-     makes reconciliation affordable on thousand-path covers. *)
+     satisfies it), so only the taken headers inside the cube are
+     passed — which is what keeps the query small on thousand-path
+     covers. *)
   match distinct_from with
   | [] ->
-      (* Unconstrained query: the canonical solver's model over
-         [inside:[cube]] alone is unit propagation of the fixed bits
-         plus false for every free bit — the cube's first member. Every
-         speculation-phase pick goes through here, so answering from
-         the cube directly (no solver instance) is what keeps header
+      (* Unconstrained query: the solver's model over [inside:[cube]]
+         alone is unit propagation of the fixed bits plus false for
+         every free bit — the cube's first member. Answering from the
+         cube directly (no solver instance) is what keeps header
          assignment linear on thousand-path covers. *)
       Option.map Header.of_cube (Hs.first_member hs)
   | _ :: _ ->
@@ -73,47 +71,37 @@ let header_for_path ?(distinct_from = []) policy (p : Cover.path) =
 (* Per-path PRNG streams: one generator per path, seeded from a single
    draw of the master generator and the path index (golden-ratio Weyl
    step, as inside splitmix64 itself). Draws for path [i] then depend
-   only on (master state, i) — not on how many paths were assigned
-   before it or on which domain ran it. *)
+   only on (master state, i), not on how many draws earlier paths
+   made. *)
 let stream_of salt i =
   Sdn_util.Prng.create
     (Int64.to_int (Int64.add salt (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)))
 
-(* Speculation memo for the delta planning path: the phase-1 pick below
-   is a pure function of the path's start space (for [Sat_unique], the
-   canonical solver returns the lexicographically least member of the
-   cube list; for [Deterministic], the first member), so it can be
-   reused across [assign] calls as long as the space's REPRESENTATION —
-   same cubes in the same order, the order [sat_pick] tries them — is
-   unchanged. Keyed by the probe's rule ids, which survive graph
-   renumbering. *)
+(* Transcript memo for the delta planning path. *)
 type memo = {
-  spec : (int list, Hs.t * Header.t option) Hashtbl.t;
-      (* phase-1 unconstrained pick per path key *)
   mutable transcript : (int list * Hs.t * Header.t option) array;
       (* (key, start space, chosen header) of every path of the last
          [assign], in path order. The chosen header at position [i] is a
          pure function of the path's start space and the headers chosen
          before it, so as long as a new cover's prefix matches the
-         transcript — same keys, same space representations — the
+         transcript — same keys, same space representations (same cubes
+         in the same order, the order [sat_pick] tries them) — the
          recorded choices replay verbatim, constrained SAT queries
          included. The first mismatching position invalidates the rest
          (its choice changes the seen-set every later query is
          constrained by). *)
 }
 
-let memo_create () = { spec = Hashtbl.create 256; transcript = [||] }
+let memo_create () = { transcript = [||] }
 
 let hs_repr_equal a b =
   let ca = Hs.cubes a and cb = Hs.cubes b in
   List.compare_lengths ca cb = 0 && List.for_all2 Cube.equal ca cb
 
-let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
+let assign ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
     (cover : Cover.t) =
   (* Split randomized policies into per-path streams (see [stream_of]);
-     [Deterministic] / [Sat_unique] are shared as-is. The array is
-     materialized once so the speculation and reconciliation phases see
-     the same stream objects. *)
+     [Deterministic] / [Sat_unique] are shared as-is. *)
   let per_path =
     match policy with
     | Deterministic | Sat_unique -> fun _ -> policy
@@ -124,23 +112,7 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
         let salt = Sdn_util.Prng.bits64 master in
         fun i -> Traffic_weighted (traffic, stream_of salt i)
   in
-  let pols =
-    Array.of_list cover.Cover.paths |> Array.mapi (fun i p -> (p, per_path i))
-  in
-  (* Phase 1 — speculation: pick every path's header with no
-     distinctness constraint, in parallel. For [Sat_unique] the solver
-     (lowest-index branching over zeroed activities, false-first phase)
-     returns the lexicographically least member of the space, and adding
-     distinct-from clauses that model already satisfies cannot deflect
-     the search (no clause ever conflicts with a prefix of the canonical
-     model), so the unconstrained answer {e is} the constrained answer
-     whenever it is not already taken. *)
-  let speculate (p, pol) = header_for_path ~distinct_from:[] pol p in
-  let speculate_all arr =
-    match pool with
-    | Some pl when Sdn_parallel.Pool.domains pl > 1 -> Sdn_parallel.Pool.map pl speculate arr
-    | _ -> Array.map speculate arr
-  in
+  let paths = Array.of_list cover.Cover.paths in
   (* The memo only applies to the pure policies: a randomized draw must
      not be replayed from a cache. *)
   let memo =
@@ -148,44 +120,11 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
     | Some m, (Deterministic | Sat_unique) -> Some m
     | _ -> None
   in
-  let spec =
-    match memo with
-    | Some memo ->
-        (* Serve hits from the memo; compute only the misses (still in
-           parallel). The memoized value is exactly what [speculate]
-           would return, so the reconciliation below — and therefore the
-           output — is unchanged by the cache. *)
-        let nn = Array.length pols in
-        let results = Array.make nn None in
-        let miss = ref [] in
-        Array.iteri
-          (fun i (p, _) ->
-            match Hashtbl.find_opt memo.spec (key p) with
-            | Some (hs, r) when hs_repr_equal hs p.Cover.start_space ->
-                results.(i) <- Some r
-            | _ -> miss := i :: !miss)
-          pols;
-        let miss = Array.of_list (List.rev !miss) in
-        let computed = speculate_all (Array.map (fun i -> pols.(i)) miss) in
-        Array.iteri
-          (fun k i ->
-            let p, _ = pols.(i) in
-            Hashtbl.replace memo.spec (key p) (p.Cover.start_space, computed.(k));
-            results.(i) <- Some computed.(k))
-          miss;
-        Array.map Option.get results
-    | None -> speculate_all pols
-  in
-  (* Phase 2 — sequential reconciliation in path order: accept the
-     speculative header unless a previous path took it; only then fall
-     back to the constrained query (exactly the query the sequential
-     fold would have run). Output is therefore identical for any domain
-     count, and for [Sat_unique] identical to the sequential fold. *)
-  let nn = Array.length pols in
+  let nn = Array.length paths in
   let out = Array.make nn None in
-  (* [seen] feeds the (rare) constrained re-queries; the hash set
-     answers the per-path "is this header taken" membership test, which
-     a list scan would make quadratic in the cover size. *)
+  (* [seen] feeds the constrained re-queries; the hash set answers the
+     per-path "is this header taken" membership test, which a list scan
+     would make quadratic in the cover size. *)
   let seen = ref [] in
   let seen_tbl : (string, unit) Hashtbl.t = Hashtbl.create (max 16 nn) in
   (* [Sat_unique] collision path: per-cube buckets of the already-taken
@@ -233,8 +172,8 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
     try_cubes (Hs.cubes p.Cover.start_space)
   in
   (* Replay the memoized transcript while the cover's prefix matches it
-     (see the [memo] type), then fall back to normal reconciliation from
-     the first divergence on. *)
+     (see the [memo] type), then assign normally from the first
+     divergence on. *)
   let start =
     match memo with
     | None -> 0
@@ -243,7 +182,7 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
         let i = ref 0 in
         let matching = ref true in
         while !matching && !i < nn && !i < Array.length tr do
-          let p, _ = pols.(!i) in
+          let p = paths.(!i) in
           let k0, hs0, ch = tr.(!i) in
           if k0 = key p && hs_repr_equal hs0 p.Cover.start_space then begin
             out.(!i) <- ch;
@@ -254,11 +193,18 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
         done;
         !i
   in
+  (* One pass in path order: take the path's unconstrained pick unless
+     an earlier path took it, else run the constrained query. For
+     [Sat_unique] this is the fold of [header_for_path ~distinct_from]
+     because the solver returns the first member of a cube whenever that
+     member is not taken (test_sat pins this); a randomized path draws
+     its constrained pick from the same stream as its unconstrained
+     one. *)
   for i = start to nn - 1 do
-    let p, pol = pols.(i) in
+    let p = paths.(i) and pol = per_path i in
     let taken h = Hashtbl.mem seen_tbl (Header.to_string h) in
     let h =
-      match spec.(i) with
+      match header_for_path pol p with
       | Some h when not (taken h) -> Some h
       | _ -> (
           match pol with
@@ -270,9 +216,8 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
   done;
   (match memo with
   | Some m ->
-      m.transcript <-
-        Array.mapi (fun i (p, _) -> (key p, p.Cover.start_space, out.(i))) pols
+      m.transcript <- Array.mapi (fun i p -> (key p, p.Cover.start_space, out.(i))) paths
   | None -> ());
-  Array.to_list pols
-  |> List.mapi (fun i (p, _) -> Option.map (fun h -> (p, h)) out.(i))
+  Array.to_list paths
+  |> List.mapi (fun i p -> Option.map (fun h -> (p, h)) out.(i))
   |> List.filter_map Fun.id

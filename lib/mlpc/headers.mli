@@ -24,13 +24,14 @@ type policy =
           observed traffic. *)
 
 type memo
-(** Speculation cache for repeated [assign] calls over evolving covers
-    (the delta planning path). Maps a path's rule ids to its phase-1
-    unconstrained pick, which is a pure function of the start space;
-    entries are revalidated against the space's representation (same
-    cubes, same order) on every hit, so a warm call returns exactly
-    what a cold one would. Only consulted for the [Deterministic] and
-    [Sat_unique] policies — randomized draws are never cached.
+(** Transcript cache for repeated [assign] calls over evolving covers
+    (the delta planning path). Records every path's key, start space and
+    chosen header in path order; the next call replays the choices while
+    its cover's prefix matches (same keys, same space representations)
+    and assigns normally from the first divergence, so a warm call
+    returns exactly what a cold one would. Only consulted for the
+    [Deterministic] and [Sat_unique] policies — randomized draws are
+    never cached.
 
     The [key] argument of {!assign} names a path for the memo (default:
     its [rules] vertex list). Vertex indices shift when entries are
@@ -40,7 +41,6 @@ type memo
 val memo_create : unit -> memo
 
 val assign :
-  ?pool:Sdn_parallel.Pool.t ->
   ?memo:memo ->
   ?key:(Cover.path -> int list) ->
   policy ->
@@ -52,15 +52,17 @@ val assign :
     distinct whenever the spaces admit it; if a space is exhausted the
     path reuses a duplicate header rather than being dropped.
 
-    Parallelism is {e speculative}: every path's header is first picked
-    with no distinctness constraint (in parallel under [pool]), then a
-    sequential reconciliation pass in path order accepts the pick or —
-    only when an earlier path already took it — re-runs the constrained
-    query. For [Sat_unique] the SAT solver's canonical
-    (lexicographically least) model makes this exactly the sequential
-    fold's output; randomized policies draw from per-path streams
-    seeded by [(master draw, path index)], so every policy's output is
-    byte-identical for any domain count. *)
+    One pass in path order: each path takes its unconstrained pick (the
+    first member of its space for [Sat_unique]) unless an earlier path
+    took it, and only then runs the constrained query. For [Sat_unique]
+    this equals folding {!header_for_path} with [~distinct_from] over
+    the paths, because the SAT solver returns a cube's first member
+    whenever that member is not taken. The solver is {e not}
+    lexicographically least in general: with the first member taken it
+    may return any free member (inside [xx], with [00] then [01] taken,
+    it answers [11], not [10]). Randomized
+    policies draw from per-path streams seeded by
+    [(master draw, path index)]. *)
 
 val header_for_path :
   ?distinct_from:Hspace.Header.t list ->

@@ -165,25 +165,3 @@ let map t f a =
   end
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))
-
-let mapi_list t f l =
-  Array.to_list (map t (fun (i, x) -> f i x) (Array.of_list (List.mapi (fun i x -> (i, x)) l)))
-
-let map_reduce t ~map:f ~combine ~init a =
-  Array.fold_left combine init (map t f a)
-
-let iter_chunked ?(chunk = 16) t f a =
-  if chunk < 1 then invalid_arg "Pool.iter_chunked: chunk < 1";
-  let n = Array.length a in
-  if n > 0 then begin
-    let blocks = (n + chunk - 1) / chunk in
-    let run_block b =
-      let lo = b * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      for i = lo to hi do
-        f i a.(i)
-      done
-    in
-    run_units t ~units:blocks ~run_unit:run_block
-      ~inline:(fun () -> Array.iteri f a)
-  end

@@ -6,8 +6,8 @@
     dynamically — an atomic cursor over the input indices — but results
     are always joined {e in input order}, so for a pure per-element
     function the output is bit-for-bit identical for any pool size and
-    any scheduling. That determinism contract is what lets the planning
-    pipeline run the same golden-digest tests at every domain count
+    any scheduling. That determinism contract is what lets the pooled
+    stages run the same golden-digest tests at every domain count
     (docs/PARALLEL.md).
 
     Combinators are not reentrant: a call from inside a task (or while
@@ -36,24 +36,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over a list, preserving order. *)
-
-val mapi_list : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_list] with the input index passed to [f]. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> combine:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** [map_reduce pool ~map ~combine ~init a]: evaluate [map] on every
-    element in parallel, then fold [combine] over the results
-    {e sequentially, left to right, in input order} — equivalent to
-    [Array.fold_left combine init (Array.map map a)] for pure [map]. *)
-
-val iter_chunked : ?chunk:int -> t -> (int -> 'a -> unit) -> 'a array -> unit
-(** [iter_chunked ~chunk pool f a] runs [f i a.(i)] for every index,
-    scheduling contiguous blocks of [chunk] indices (default 16) as one
-    task — for cheap per-element work where a per-index atomic claim
-    would dominate. [f]'s effects on distinct indices must be
-    independent (e.g. each writes its own slot of a result buffer);
-    under that contract the net effect is schedule-independent. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Further combinator calls run

@@ -3,7 +3,8 @@
     A {!Pool} is a fixed-size domain pool whose combinators join
     results in input order, so the pipeline's output is bit-for-bit
     identical for any domain count. This module adds the process-wide
-    default: the degree of parallelism every stage uses when no
+    default: the degree of parallelism the pooled stages (detection
+    round sends, sharded region builds, verification) use when no
     explicit pool is passed. *)
 
 module Pool = Pool

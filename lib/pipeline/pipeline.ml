@@ -6,7 +6,6 @@ module Edits = Sdn_util.Edits
 exception Edit_error of string
 
 type t = {
-  pool : Sdn_parallel.Pool.t option;
   network : N.t;
   rulegraph : RG.t;
   memo : Mlpc.Headers.memo;
@@ -28,17 +27,17 @@ let entry_key rg (p : Mlpc.Cover.path) =
    stage started, so [generation_s] counts the whole pre-computation.
    Randomized draws consume [rng] matching first, then headers; they
    skip the memo, since a fresh draw reuses nothing. *)
-let plan_of ?pool ~mode ~memo ~t0 net rg =
+let plan_of ~mode ~memo ~t0 net rg =
   let cover, assigned =
     match mode with
     | Sdnprobe.Plan.Static ->
-        let cover = Mlpc.Legal_matching.solve ?pool rg in
+        let cover = Mlpc.Legal_matching.solve rg in
         ( cover,
-          Mlpc.Headers.assign ?pool ~memo ~key:(entry_key rg)
-            Mlpc.Headers.Sat_unique cover )
+          Mlpc.Headers.assign ~memo ~key:(entry_key rg) Mlpc.Headers.Sat_unique
+            cover )
     | Sdnprobe.Plan.Randomized rng ->
-        let cover = Mlpc.Legal_matching.randomized ?pool rng rg in
-        (cover, Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)
+        let cover = Mlpc.Legal_matching.randomized rng rg in
+        (cover, Mlpc.Headers.assign (Mlpc.Headers.Random rng) cover)
   in
   let probes = Sdnprobe.Plan.probes_of_assignment net rg assigned in
   {
@@ -50,12 +49,12 @@ let plan_of ?pool ~mode ~memo ~t0 net rg =
     mode;
   }
 
-let create ?pool ?(mode = Sdnprobe.Plan.Static) net =
+let create ?(mode = Sdnprobe.Plan.Static) net =
   let t0 = Sdn_util.Mono.now_s () in
   let rg = RG.build net in
   let memo = Mlpc.Headers.memo_create () in
-  let plan = plan_of ?pool ~mode ~memo ~t0 net rg in
-  { pool; network = net; rulegraph = rg; memo; plan; epoch = 0 }
+  let plan = plan_of ~mode ~memo ~t0 net rg in
+  { network = net; rulegraph = rg; memo; plan; epoch = 0 }
 
 let apply_op net (op : Edits.op) =
   match op with
@@ -105,8 +104,7 @@ let apply t (edits : Edits.t) =
     let t0 = Sdn_util.Mono.now_s () in
     let rg = RG.update t.rulegraph ~changed_tables:changed in
     let plan =
-      plan_of ?pool:t.pool ~mode:t.plan.Sdnprobe.Plan.mode ~memo:t.memo ~t0
-        t.network rg
+      plan_of ~mode:t.plan.Sdnprobe.Plan.mode ~memo:t.memo ~t0 t.network rg
     in
     let patch =
       Sdnprobe.Plan.diff ~edits ~before:t.plan.Sdnprobe.Plan.probes

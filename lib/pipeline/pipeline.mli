@@ -5,7 +5,7 @@
     graph incrementally to reduce overhead").
 
     A session owns the network, its rule graph, the current plan and a
-    header-speculation memo. {!apply} pushes one batch of edits through
+    header-assignment memo. {!apply} pushes one batch of edits through
     all four stages — {!Rulegraph.Rule_graph.update} for the graph, a
     warm-cache cover re-solve, a memoized header assignment — and
     returns the new session plus a {!Sdnprobe.Plan.patch} describing
@@ -14,8 +14,8 @@
     {b Determinism contract.} Every stage of the incremental path is
     canonical: after any sequence of {!apply} calls, a static session's
     [plan] is byte-identical to [Pipeline.create] on the mutated network — same
-    cover, same headers, same probes, same certificate — for any domain
-    count. The only things allowed to differ are wall-clock fields
+    cover, same headers, same probes, same certificate. Planning runs on
+    the calling domain. The only things allowed to differ are wall-clock fields
     ([generation_s]) and cache hit/miss tallies.
 
     A session plans in one of the two modes of {!Sdnprobe.Plan.mode}:
@@ -35,13 +35,10 @@ exception Edit_error of string
     switch/table/port). Raised by {!apply_op} and {!apply}; see
     {!apply} for the state guarantee. *)
 
-val create :
-  ?pool:Sdn_parallel.Pool.t -> ?mode:Sdnprobe.Plan.mode -> Openflow.Network.t -> t
+val create : ?mode:Sdnprobe.Plan.mode -> Openflow.Network.t -> t
 (** Build a session: full rule graph, cover, headers, plan. [mode]
     defaults to [Static]; [Randomized rng] consumes [rng] for the
-    matching first, then the headers. With [pool] the matching's
-    legality warm-up and the header assignment run in parallel; the plan
-    is byte-identical for any domain count. The plan's [generation_s]
+    matching first, then the headers. The plan's [generation_s]
     covers every stage, the rule-graph build included. Raises
     {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies. *)
 
@@ -68,7 +65,7 @@ val apply_op : Openflow.Network.t -> Sdn_util.Edits.op -> int * int
 val apply : t -> Sdn_util.Edits.t -> t * Sdnprobe.Plan.patch
 (** Apply one batch atomically-in-intent: mutate the network, update
     the rule graph incrementally, re-solve the cover over retained
-    caches, re-assign headers through the speculation memo (a
+    caches, re-assign headers through the transcript memo (a
     randomized session re-draws both instead), and diff the plans. The patch
     carries the batch itself as provenance. The new plan's
     [generation_s] counts from the rule-graph update.

@@ -223,7 +223,7 @@ let create ?pool ?target ?(assign_headers = true) net =
   let probes =
     if not assign_headers then []
     else
-      let assigned = Mlpc.Headers.assign ?pool Mlpc.Headers.Sat_unique cover in
+      let assigned = Mlpc.Headers.assign Mlpc.Headers.Sat_unique cover in
       List.mapi
         (fun i ((p : Cover.path), header) ->
           Probe.make net ~id:i ~rules:p.Cover.rules ~header)

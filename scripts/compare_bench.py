@@ -18,11 +18,13 @@ gates only entries whose trailing /<n> matches (micro-kernels carry a
 bit-width suffix, e.g. cube.inter/64, and are left ungated — Bechamel
 estimates are too machine-sensitive for a hard CI bound). Entries
 present in only one file are reported but never fail the gate (workload
-sets may differ across machines/scales). When every current capture
-reports host_cores: 1, the */par4 entries are not gated either: a
-4-domain pool on a single core measures scheduler contention, not the
-code, so any par4 ratio against a baseline is a false regression
-signal (--gate-entry still force-gates them). Exits non-zero when any
+sets may differ across machines/scales). A */par<N> entry (an N-domain
+pool variant) is not gated when the current captures report fewer than
+N host_cores (the largest host_cores among them counts; a capture
+without the field counts as enough): an N-domain pool on fewer cores
+measures scheduler contention, not the code, so its ratio against a
+baseline is a false regression signal (--gate-entry still force-gates
+it). Exits non-zero when any
 gated entry is slower than baseline by more than --max-slowdown.
 Stdlib only.
 """
@@ -30,9 +32,13 @@ Stdlib only.
 import argparse
 import fnmatch
 import json
+import re
 import sys
 
 SCHEMA_VERSION = 1
+
+# The N-domain pool variant suffix of an end-to-end entry.
+PAR_SUFFIX = re.compile(r"/par(\d+)$")
 
 
 def load_entries(path):
@@ -53,13 +59,18 @@ def load_entries(path):
     return entries, doc.get("host_cores")
 
 
+def par_width(name):
+    """N of a /par<N> pool-variant entry, None for everything else."""
+    m = PAR_SUFFIX.search(name)
+    return int(m.group(1)) if m else None
+
+
 def scale_of(name):
     """Trailing /<switches> suffix of an end-to-end entry, None for micros.
 
-    A variant suffix like /par4 (the 4-domain pool entries) is stripped
-    first, so rulegraph.spaces/16/par4 gates with the /16 scale."""
-    if name.endswith("/par4"):
-        name = name[: -len("/par4")]
+    A /par<N> variant suffix is stripped first, so
+    runner.round10/16/par2 gates with the /16 scale."""
+    name = PAR_SUFFIX.sub("", name)
     _, _, suffix = name.rpartition("/")
     return int(suffix) if suffix.isdigit() else None
 
@@ -122,12 +133,12 @@ def main():
         cur_cores.append(cores)
         for name, ns in entries.items():
             cur[name] = min(ns, cur.get(name, float("inf")))
-    # par4 numbers only mean anything when the candidate host actually
-    # has the cores; a capture missing host_cores is assumed multi-core
+    # /par<N> numbers only mean anything when the candidate host has N
+    # cores; a capture missing host_cores is assumed to have enough
     # (old-format captures predate the field).
-    single_core = all(c == 1 for c in cur_cores) and cur_cores != []
-    if single_core:
-        print("candidate reports host_cores: 1 — */par4 entries not gated")
+    cores = None if None in cur_cores else max(cur_cores)
+    if cores is not None:
+        print(f"candidate reports host_cores: {cores} — */par<N> entries with N > {cores} not gated")
 
     if args.write_merged:
         entries = []
@@ -169,7 +180,8 @@ def main():
             or scale == args.only_switches
             or forced
         )
-        if single_core and name.endswith("/par4") and not forced:
+        width = par_width(name)
+        if cores is not None and width is not None and cores < width and not forced:
             gated = False
         verdict = ""
         if gated and ratio > args.max_slowdown:

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Unit tests for the bench gates. compare_bench.py: in particular the
-host_cores: 1 rule — a candidate captured on a single core must not
-fail the gate on */par4 entries (a 4-domain pool on one core measures
-scheduler contention, not the code), while serial entries keep gating
-and --gate-entry still force-gates par4. check_ratio.py: pass, fail
-and missing-entry cases of the speedup-ratio gate. Stdlib only:
+host_cores rule — a candidate captured on fewer than N cores must not
+fail the gate on */par<N> entries (an N-domain pool on fewer cores
+measures scheduler contention, not the code), while serial entries keep
+gating and --gate-entry still force-gates them. check_ratio.py: pass,
+fail and missing-entry cases of the speedup-ratio gate. Stdlib only:
 
     python3 scripts/test_compare_bench.py
 """
@@ -117,6 +117,34 @@ class TestSingleCorePar4Skip(unittest.TestCase):
         cur = self.cap(BASE, 1)
         code, out = run(base, cur)
         self.assertEqual(code, 0, out)
+
+    def test_par2_gates_at_its_scale(self):
+        # /par2 strips to the /16 scale: gated under --only-switches 16
+        # on a 2-core capture, not gated under --only-switches 50.
+        base = self.cap({"runner.round10/16/par2": 800e6}, 2)
+        cur = self.cap({"runner.round10/16/par2": 2000e6}, 2)
+        code, out = run(base, cur, "--only-switches", "16")
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("runner.round10/16/par2", out)
+        code, out = run(base, cur, "--only-switches", "50")
+        self.assertEqual(code, 0, out)
+
+    def test_par8_skipped_on_two_cores(self):
+        # An 8-domain pool on a 2-core host is not gated; /par2 still is.
+        base = self.cap(
+            {"runner.round10/16/par8": 800e6, "runner.round10/16/par2": 800e6}, 8
+        )
+        cur = self.cap(
+            {"runner.round10/16/par8": 2000e6, "runner.round10/16/par2": 800e6}, 2
+        )
+        code, out = run(base, cur)
+        self.assertEqual(code, 0, out)
+        self.assertIn("(not gated)", out)
+        cur = self.cap(
+            {"runner.round10/16/par8": 800e6, "runner.round10/16/par2": 2000e6}, 2
+        )
+        code, out = run(base, cur)
+        self.assertNotEqual(code, 0, out)
 
 
 class TestOneSidedEntries(unittest.TestCase):

@@ -178,6 +178,38 @@ let test_self_scan_clean () =
             (Format.asprintf "%a" Finding.pp f));
       check_bool "suppressions in use" true (r.Engine.suppressed > 0)
 
+(* D005's reachability starts from [Engine.pooled_seeds], so a lib/
+   file that runs closures on the pool but is missing from the seeds
+   would leave its modules unchecked. Every file outside lib/parallel
+   whose code (comments and strings blanked) calls [Pool.map] or
+   [Pool.map_list] must be a seed, and every seed must be such a
+   file. *)
+let test_pooled_seeds_match_call_sites () =
+  match Engine.find_root () with
+  | None -> Alcotest.fail "cannot find repo root from the test runtime dir"
+  | Some root ->
+      let calls_pool rel =
+        let code = (Source.load ~root ~rel).Source.stripped in
+        let needle = "Pool.map" in
+        let n = String.length needle in
+        let rec scan i =
+          i + n <= String.length code
+          && (String.sub code i n = needle || scan (i + 1))
+        in
+        scan 0
+      in
+      let in_lib rel =
+        String.starts_with ~prefix:"lib/" rel
+        && not (String.starts_with ~prefix:"lib/parallel/" rel)
+      in
+      let callers =
+        List.filter (fun rel -> in_lib rel && calls_pool rel) (Engine.collect_files root)
+      in
+      check_bool "found pooled callers" true (callers <> []);
+      Alcotest.(check (list string))
+        "pooled seeds = Pool.map call sites" callers
+        (List.sort String.compare Engine.pooled_seeds)
+
 let test_exit_codes () =
   let bad = run_rel ~rel:"lib/bad/d001.ml" (fixture "bad" "d001.ml") in
   let warn = run_rel ~rel:"lib/bad/d006.ml" (fixture "bad" "d006.ml") in
@@ -219,5 +251,7 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "self scan clean" `Quick test_self_scan_clean;
+          Alcotest.test_case "pooled seeds = call sites" `Quick
+            test_pooled_seeds_match_call_sites;
         ] );
     ]

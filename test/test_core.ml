@@ -21,10 +21,7 @@ let config = Config.default
 
 (* Plan the emulator's network in [mode] and run detection on it. *)
 let detect ?stop ?mode ~config emu =
-  let plan =
-    Pipeline.plan
-      (Pipeline.create ?pool:(Config.pool config) ?mode (Emu.network emu))
-  in
+  let plan = Pipeline.plan (Pipeline.create ?mode (Emu.network emu)) in
   Runner.execute_on ?stop ~config ~backend:(Sdnprobe.Backend.of_emulator emu) plan
 
 (* ------------------------------------------------------------------ *)

@@ -287,6 +287,24 @@ let prop_nth_member =
       (* Distinct indices below the cube's size give distinct members. *)
       k + 1 >= size || not (Cube.equal h (Cube.nth_member c (k + 1))))
 
+(* is_concrete compares masks chunk by chunk; the bit count is the
+   reference. Cubes of 1..130 bits cover one, two and three chunks and
+   full and partial tail chunks; the first member of each is concrete. *)
+let prop_is_concrete_counts =
+  let gen =
+    QCheck.Gen.(
+      let gen_bit =
+        frequency [ (6, return Cube.Zero); (6, return Cube.One); (1, return Cube.Any) ]
+      in
+      map (fun bits -> Cube.of_bits (Array.of_list bits)) (list_size (1 -- 130) gen_bit))
+  in
+  QCheck.Test.make ~name:"is_concrete = no wildcard bits" ~count:500
+    (QCheck.make ~print:Cube.to_string gen)
+    (fun c ->
+      let concrete c = Cube.wildcard_count c = 0 in
+      Cube.is_concrete c = concrete c
+      && Cube.is_concrete (Cube.first_member c))
+
 let prop_hs_diff_union =
   QCheck.Test.make ~name:"(a−b) ∪ (a∩b) = a (as sets)" ~count:200
     (QCheck.pair arb_cube arb_cube)
@@ -349,6 +367,7 @@ let props =
       prop_set_field_member;
       prop_inverse_set_field;
       prop_nth_member;
+      prop_is_concrete_counts;
       prop_hs_diff_union;
       prop_hs_size_additive;
       prop_reduce_canonical;

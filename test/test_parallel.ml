@@ -1,13 +1,12 @@
 (* Deterministic multicore: the domain pool's combinator contracts, the
-   domain-safe cube intern table, parallel Yen batches, and — the PR's
-   acceptance property — byte-identity of the whole pipeline (plan,
-   execution report, certificate) across domain counts. *)
+   domain-safe cube intern table, the ownership checker, and
+   byte-identity of plan and execution report across domain counts
+   (planning runs on the calling domain; the runner's order-free round
+   sends run on the pool). *)
 
 module Pool = Sdn_parallel.Pool
 module Prng = Sdn_util.Prng
 module Cube = Hspace.Cube
-module Digraph = Sdngraph.Digraph
-module Yen = Sdngraph.Yen
 module Emu = Dataplane.Emulator
 module Impairment = Dataplane.Impairment
 module Plan = Sdnprobe.Plan
@@ -38,50 +37,14 @@ let test_map_matches_sequential () =
     (fun n -> check_bool (Printf.sprintf "map @%d" n) true (Pool.map (pool n) f input = expect))
     sizes
 
-let test_map_list_and_mapi () =
+let test_map_list () =
   let input = List.init 63 Fun.id in
   List.iter
     (fun n ->
       check_bool "map_list" true
-        (Pool.map_list (pool n) succ input = List.map succ input);
-      check_bool "mapi_list" true
-        (Pool.mapi_list (pool n) (fun i x -> i - x) input = List.mapi (fun i x -> i - x) input))
+        (Pool.map_list (pool n) succ input = List.map succ input))
     sizes;
   check_bool "empty list" true (Pool.map_list (pool 4) succ [] = [])
-
-let test_map_reduce_in_order () =
-  (* String concatenation is not commutative: the reduce must fold the
-     mapped results left to right in input order. *)
-  let input = Array.init 40 Fun.id in
-  let expect =
-    Array.fold_left (fun acc x -> acc ^ string_of_int x) "" (Array.map Fun.id input)
-  in
-  List.iter
-    (fun n ->
-      let got =
-        Pool.map_reduce (pool n) ~map:string_of_int
-          ~combine:(fun acc s -> acc ^ s)
-          ~init:"" input
-      in
-      check_str (Printf.sprintf "map_reduce @%d" n) expect got)
-    sizes
-
-let test_iter_chunked_covers_all () =
-  let input = Array.init 101 (fun i -> i * 3) in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun chunk ->
-          let out = Array.make 101 min_int in
-          Pool.iter_chunked ~chunk (pool n) (fun i x -> out.(i) <- x + 1) input;
-          Array.iteri
-            (fun i x ->
-              if out.(i) <> x + 1 then
-                Alcotest.failf "slot %d: %d <> %d (chunk %d, domains %d)" i out.(i)
-                  (x + 1) chunk n)
-            input)
-        [ 1; 3; 16; 1000 ])
-    sizes
 
 let test_exception_lowest_index () =
   List.iter
@@ -163,41 +126,6 @@ let test_intern_under_domains () =
   check_bool "table non-empty" true (Cube.interned_count () > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel Yen batch = sequential map *)
-
-let random_graph seed =
-  let rng = Prng.create seed in
-  let n = 36 in
-  let g = Digraph.create n in
-  for _ = 1 to 5 * n do
-    let u = Prng.int rng n and v = Prng.int rng n in
-    if u <> v then
-      Digraph.add_edge ~weight:(1.0 +. Prng.float rng 9.0) g u v
-  done;
-  g
-
-let test_yen_pairs_matches_sequential () =
-  let g = random_graph 5 in
-  let rng = Prng.create 6 in
-  let pairs =
-    List.init 24 (fun _ -> (Prng.int rng (Digraph.n_vertices g), Prng.int rng (Digraph.n_vertices g)))
-  in
-  let seq = Yen.k_shortest_pairs g ~pairs ~k:8 in
-  List.iter
-    (fun n ->
-      check_bool
-        (Printf.sprintf "pairs @%d" n)
-        true
-        (Yen.k_shortest_pairs ~pool:(pool n) g ~pairs ~k:8 = seq))
-    sizes;
-  (* and each batch entry is the plain single-pair answer *)
-  List.iteri
-    (fun i (src, dst) ->
-      if List.nth seq i <> Yen.k_shortest g ~src ~dst ~k:8 then
-        Alcotest.failf "pair %d differs from k_shortest" i)
-    pairs
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline byte-identity across domain counts.
 
    [canonical]/[digest] replicate test_runner_loss's golden encoding so
@@ -243,7 +171,7 @@ let scenario ~domains ~switches ~seed ~kind ~fraction ~randomized ~max_rounds ~i
      the property then covers parallel sends under a noisy data plane.
      The order-dependent draws (loss, jitter) are covered by
      [test_cross_domain_identity_lossy] below, where the runner gate
-     falls back to the serial loop but planning stays parallel. *)
+     falls back to the serial loop. *)
   if impair then
     Emu.set_impairment emu
       (Impairment.create
@@ -256,7 +184,7 @@ let scenario ~domains ~switches ~seed ~kind ~fraction ~randomized ~max_rounds ~i
     Config.with_domains domains (Config.with_max_rounds max_rounds Config.default)
   in
   let mode = if randomized then Plan.Randomized (Prng.create seed) else Plan.Static in
-  let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) ~mode net) in
+  let plan = Pipeline.plan (Pipeline.create ~mode net) in
   let report =
     Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
       ~backend:(Backend.of_emulator emu) plan
@@ -280,7 +208,7 @@ let test_cross_domain_identity =
 
 (* Order-dependent impairment (per-link loss): the runner's parallel
    gate must refuse the concurrent round and reproduce the serial
-   semantics exactly, while planning still runs on the pool. *)
+   semantics exactly. *)
 let test_cross_domain_identity_lossy () =
   let at domains =
     let net = make_net ~switches:16 ~seed:1 in
@@ -291,7 +219,7 @@ let test_cross_domain_identity_lossy () =
     let config =
       Config.with_domains domains (Config.with_max_rounds 60 Config.resilient)
     in
-    let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net) in
+    let plan = Pipeline.plan (Pipeline.create net) in
     let report =
       Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
         ~backend:(Backend.of_emulator emu) plan
@@ -302,8 +230,8 @@ let test_cross_domain_identity_lossy () =
   check_str "lossy plan identical" p1 p4;
   check_str "lossy report identical" r1 r4
 
-(* The PR2/PR3 golden digests, re-pinned with the whole pipeline (plan
-   generation and probing rounds) running on 4 domains. *)
+(* The golden digests of test_runner_loss, pinned with the probing
+   rounds running on 4 domains. *)
 let golden ~switches ~seed ~kind ~fraction ~randomized ~max_rounds expect () =
   let _, r =
     scenario ~domains:4 ~switches ~seed ~kind ~fraction ~randomized ~max_rounds
@@ -322,11 +250,6 @@ let test_golden_randomized_drop_par =
 let test_golden_static_basic_24_par =
   golden ~switches:24 ~seed:5 ~kind:W.Basic ~fraction:0.03 ~randomized:false
     ~max_rounds:60 "784726fc5c1c45fd4fec049c64b4dd30"
-
-(* ------------------------------------------------------------------ *)
-(* Certification of parallel plans: a plan generated on 4 domains is
-   the plan the verifier expects, and its certificate JSON matches the
-   sequential one byte for byte. *)
 
 (* ------------------------------------------------------------------ *)
 (* Ownership checker (SDNPROBE_POOL_CHECK): the dynamic complement to
@@ -400,19 +323,6 @@ let test_ownership_disabled_is_quiet () =
       check_int "no cross count when off" 0 (Own.cross_touches r);
       check_bool "anonymous when off" true (Own.name r = None))
 
-let test_certify_parallel_plan () =
-  let net = make_net ~switches:12 ~seed:8 in
-  let cert domains =
-    let config = Config.with_domains domains Config.default in
-    let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net) in
-    let report = Sdnprobe.Certify.run ~seed:5 plan in
-    if not (Sdnprobe.Certify.ok_report report) then
-      Alcotest.failf "certification failed at %d domains:@.%a" domains
-        Sdnprobe.Certify.pp report;
-    Sdn_util.Json.to_string (Sdnprobe.Certify.to_json report)
-  in
-  check_str "certificates identical" (cert 1) (cert 4)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -421,9 +331,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map = Array.map" `Quick test_map_matches_sequential;
-          Alcotest.test_case "map_list / mapi_list" `Quick test_map_list_and_mapi;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_in_order;
-          Alcotest.test_case "iter_chunked coverage" `Quick test_iter_chunked_covers_all;
+          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "lowest-index exception" `Quick test_exception_lowest_index;
           Alcotest.test_case "reentrant fallback" `Quick test_reentrant_falls_back_inline;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
@@ -432,8 +340,6 @@ let () =
         ] );
       ( "intern",
         [ Alcotest.test_case "cube algebra under domains" `Quick test_intern_under_domains ] );
-      ( "yen",
-        [ Alcotest.test_case "pairs batch = sequential" `Quick test_yen_pairs_matches_sequential ] );
       ( "pipeline",
         [
           test_cross_domain_identity;
@@ -453,6 +359,4 @@ let () =
           Alcotest.test_case "disabled is quiet" `Quick
             test_ownership_disabled_is_quiet;
         ] );
-      ( "certify",
-        [ Alcotest.test_case "parallel plan certifies" `Quick test_certify_parallel_plan ] );
     ]

@@ -79,10 +79,9 @@ let cert_json plan =
    then compare the incrementally-maintained session against a scratch
    session on the same (mutated) network. Returns false on the first
    divergence. Also checks every patch against [Certify.run_patch]. *)
-let churn_identity ~domains ~seed ~batches ~ops =
-  let pool = if domains = 1 then None else Some (Sdn_parallel.pool ~domains) in
+let churn_identity ~seed ~batches ~ops =
   let net = make_net ~switches:8 ~seed in
-  let session = ref (Pipeline.create ?pool net) in
+  let session = ref (Pipeline.create net) in
   let rng = Prng.create (seed + 7919) in
   let ok = ref true in
   for batch = 1 to batches do
@@ -102,7 +101,7 @@ let churn_identity ~domains ~seed ~batches ~ops =
            (Certify.run_patch ~seed:11 ~event ~before ~patch after))
     then ok := false;
     (* Byte-identity against a scratch re-plan. *)
-    let fresh = Pipeline.create ?pool net in
+    let fresh = Pipeline.create net in
     if plan_repr after <> plan_repr (Pipeline.plan fresh) then ok := false;
     if cert_json after <> cert_json (Pipeline.plan fresh) then ok := false
   done;
@@ -110,12 +109,10 @@ let churn_identity ~domains ~seed ~batches ~ops =
 
 let test_churn_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"apply = scratch re-plan (bytes), domains 1 and 4"
+    (QCheck.Test.make ~name:"apply = scratch re-plan (bytes) after edit batches"
        ~count:6
        QCheck.(pair (int_bound 1000) (1 -- 3))
-       (fun (seed, ops) ->
-         churn_identity ~domains:1 ~seed ~batches:3 ~ops
-         && churn_identity ~domains:4 ~seed ~batches:3 ~ops))
+       (fun (seed, ops) -> churn_identity ~seed ~batches:3 ~ops))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic fixed cases (fast, non-random) *)

@@ -233,6 +233,60 @@ let prop_find_matches_hs =
       | Some h -> Hs.mem (h :> Cube.t) hs
       | None -> Hs.is_empty hs)
 
+(* What header assignment relies on (Mlpc.Headers.assign takes a path's
+   unconstrained pick, the cube's first member, whenever no earlier path
+   took it): a distinct-from query inside one cube returns the cube's
+   first member whenever that member is not among the taken headers.
+   The taken headers are members of the cube, as in the assignment's
+   per-cube buckets. *)
+let prop_first_member_when_free =
+  let gen =
+    QCheck.Gen.(
+      let gen_bit =
+        frequency [ (1, return Cube.Zero); (1, return Cube.One); (3, return Cube.Any) ]
+      in
+      triple (list_size (1 -- 11) gen_bit) (int_bound 40) int)
+  in
+  QCheck.Test.make ~name:"taken-free first member is the SAT answer" ~count:500
+    (QCheck.make gen)
+    (fun (bits, k, seed) ->
+      let bits = Array.of_list bits in
+      let cube = Cube.of_bits bits in
+      let first = Hspace.Header.of_cube (Cube.first_member cube) in
+      let rng = Prng.create seed in
+      let member () =
+        Hspace.Header.of_cube
+          (Cube.of_bits
+             (Array.map
+                (function
+                  | Cube.Any -> if Prng.bool rng then Cube.One else Cube.Zero
+                  | b -> b)
+                bits))
+      in
+      let taken =
+        List.filter
+          (fun h -> not (Hspace.Header.equal h first))
+          (List.init k (fun _ -> member ()))
+      in
+      match HE.find_header ~distinct_from:taken ~inside:[ cube ] (Array.length bits) with
+      | Some h -> Hspace.Header.equal h first
+      | None -> false)
+
+(* ...and nothing stronger: once the first member is taken the answer
+   need not be the lexicographically least free member (phase saving
+   and activity bumping steer the search). The taken list is newest
+   first, as the assignment's buckets hold it: 00 was taken, then 01;
+   the least free member is 10. *)
+let test_not_lex_least () =
+  let h =
+    HE.find_header
+      ~distinct_from:[ Hspace.Header.of_string "01"; Hspace.Header.of_string "00" ]
+      ~inside:[ Cube.of_string "xx" ] 2
+  in
+  Alcotest.(check (option string))
+    "answer" (Some "11")
+    (Option.map Hspace.Header.to_string h)
+
 let () =
   Alcotest.run "sat"
     [
@@ -257,5 +311,7 @@ let () =
           Alcotest.test_case "unique headers" `Quick test_unique_headers;
           Alcotest.test_case "avoid cubes" `Quick test_avoid_cubes;
           QCheck_alcotest.to_alcotest prop_find_matches_hs;
+          QCheck_alcotest.to_alcotest prop_first_member_when_free;
+          Alcotest.test_case "not lexicographically least" `Quick test_not_lex_least;
         ] );
     ]

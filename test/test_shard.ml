@@ -241,7 +241,7 @@ let flat_flagged ~net ~seed ~impair ~domains =
     Config.with_domains domains
       (Config.with_max_rounds 60 (if impair then Config.resilient else Config.default))
   in
-  let plan = Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net) in
+  let plan = Pipeline.plan (Pipeline.create net) in
   let report =
     Runner.execute_on ~stop:(Runner.stop_when_flagged truth) ~config
       ~backend:(Backend.of_emulator emu) plan
