@@ -267,29 +267,29 @@ let micro_tests () =
    the quadratic default rule spec would not even install — these
    workloads come from Topogen.Preset's scaled spec. shard.build is the
    structural build alone (partition + per-region graphs/covers +
-   stitching, no header assignment): the piece with a 1000-switch
-   completion gate. shard.plan is the full sharded pipeline, probes
-   included — scripts/check_ratio.py holds it to >= 2x over the
-   flat plan.full at 200 switches. *)
+   stitching, no header assignment). shard.plan is the full sharded
+   pipeline, probes included — scripts/check_ratio.py holds it to >= 2x
+   over the flat plan.full at 200 switches; past 200 switches only the
+   sharded entries run. *)
 let large_scale_entries scale =
   let _, net = Topogen.Preset.scale ~n_switches:scale in
   let runs = 2 in
-  let shard_build =
-    ( Printf.sprintf "shard.build/%d" scale,
-      time_ns ~runs (fun () ->
-          ignore (Shard.Splan.create ~assign_headers:false net)) )
-  in
-  if scale > 200 then [ shard_build ]
-  else
+  let sharded =
     [
-      ( Printf.sprintf "rulegraph.build/%d" scale,
-        time_ns ~runs (fun () -> ignore (RG.build net)) );
-      ( Printf.sprintf "plan.full/%d" scale,
-        time_ns ~runs (fun () -> ignore (Pipeline.create net)) );
       ( Printf.sprintf "shard.plan/%d" scale,
         time_ns ~runs (fun () -> ignore (Shard.Splan.create net)) );
-      shard_build;
+      ( Printf.sprintf "shard.build/%d" scale,
+        time_ns ~runs (fun () ->
+            ignore (Shard.Splan.create ~assign_headers:false net)) );
     ]
+  in
+  if scale > 200 then sharded
+  else
+    ( Printf.sprintf "rulegraph.build/%d" scale,
+      time_ns ~runs (fun () -> ignore (RG.build net)) )
+    :: ( Printf.sprintf "plan.full/%d" scale,
+         time_ns ~runs (fun () -> ignore (Pipeline.create net)) )
+    :: sharded
 
 let entries ~scales =
   let scales, large = List.partition (fun s -> s <= 50) scales in

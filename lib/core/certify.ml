@@ -3,10 +3,11 @@
    Each section re-establishes one pillar of the probe-generation
    pipeline with an independent checker from {!Cert}:
 
-   - sat: the Sat_unique header assignment is replayed with proof
-     logging on; every Sat answer is checked against every problem
-     clause, every Unsat answer against its DRUP derivation, and the
-     replayed headers must coincide bit-for-bit with the plan's.
+   - sat: the Sat_unique header assignment (lex-least unique headers)
+     is re-derived by SAT bit-fixing with proof logging on; every Sat
+     answer is checked against every problem clause, every Unsat answer
+     against its DRUP derivation, and the rebuilt headers must coincide
+     bit-for-bit with the plan's.
    - matching: an unconstrained Hopcroft–Karp maximum matching of the
      MLPC bipartite graph, certified maximum by a König vertex cover;
      |paths| = n_testable − |M| then pins the cover minimum (Theorem 1).
@@ -46,10 +47,13 @@ let of_result name = function
   | Error msg -> fail name msg
 
 (* ------------------------------------------------------------------ *)
-(* SAT section: deterministic replay of Headers.assign Sat_unique with
-   certificates. The replay mirrors Headers.sat_pick exactly — same
-   cube order, same distinct_from threading — so on a Static plan the
-   certified headers must equal the plan's probe headers. *)
+(* SAT section: Headers.assign Sat_unique re-derived by the solver,
+   with certificates. The planner picks each path's lexicographically
+   least free member (first cube of its start space that has one, free
+   bits in order) with a per-cube cursor; this section rebuilds the same
+   header by classic SAT bit-fixing, sharing no code with the cursor,
+   so on a Static plan the certified headers must equal the plan's
+   probe headers. *)
 
 (* DIMACS variable k+1 is header bit k (Header_encoding's convention);
    the model array is indexed by variable number, slot 0 unused. *)
@@ -75,20 +79,100 @@ let certify_query acc (c : Sat.Header_encoding.certified) =
       | Error e ->
           fail "sat/proof" (Cert.Drup.error_to_string e) :: acc)
 
-(* Headers.sat_pick, certified: try each cube until a distinct header
-   is found; collect every issued query's certificate. *)
-let sat_pick_certified ~distinct_from hs queries =
-  let rec loop = function
-    | [] -> None
-    | cube :: rest ->
-        let c =
-          Sat.Header_encoding.find_header_certified ~distinct_from
-            ~inside:[ cube ] (Cube.length cube)
-        in
-        queries := c :: !queries;
-        (match c.header with Some h -> Some h | None -> loop rest)
+(* Every query asks for a member of one cube [q] that differs from the
+   earlier headers inside [q] (headers outside it make their blocking
+   clause vacuous); each issued query's certificate is collected. *)
+let free_member_certified ~seen q queries =
+  let c =
+    Sat.Header_encoding.find_header_certified
+      ~distinct_from:(List.filter (fun h -> Header.matches h q) seen)
+      ~inside:[ q ] (Cube.length q)
   in
-  loop (Hs.cubes hs)
+  queries := c :: !queries;
+  c.header
+
+(* The lex-least free member of the first cube of [hs] that has one.
+   Bit-fixing: with a free member [w] of the prefix cube [q] in hand,
+   each free bit k in order is fixed to 0 when some free member of [q]
+   has it 0, else to 1. When [w] has bit k = 0 it is that member (its
+   model was checked when it was found) and no query is needed;
+   otherwise the query over [q] with bit k = 0 either yields the next
+   witness or is refuted. *)
+let lex_least_certified ~seen hs queries =
+  let rec fix q w k =
+    if k >= Cube.length q then w
+    else
+      match Cube.get q k with
+      | Cube.Zero | Cube.One -> fix q w (k + 1)
+      | Cube.Any -> (
+          let q0 = Cube.set q k Cube.Zero in
+          if not (Header.get w k) then fix q0 w (k + 1)
+          else
+            match free_member_certified ~seen q0 queries with
+            | Some w0 -> fix q0 w0 (k + 1)
+            | None -> fix (Cube.set q k Cube.One) w (k + 1))
+  in
+  List.find_map
+    (fun cube ->
+      Option.map (fun w -> fix cube w 0) (free_member_certified ~seen cube queries))
+    (Hs.cubes hs)
+
+let sat_headers spaces plan_headers =
+  let queries = ref [] in
+  let _, replayed =
+    List.fold_left
+      (fun (seen, acc) hs ->
+        let h =
+          match lex_least_certified ~seen hs queries with
+          | Some h -> Some h
+          | None -> Option.map Header.of_cube (Hs.first_member hs)
+        in
+        match h with
+        | Some h -> (h :: seen, h :: acc)
+        | None -> (seen, acc))
+      ([], []) spaces
+  in
+  let replayed = List.rev replayed in
+  let checks = List.fold_left certify_query [] !queries in
+  let agree =
+    List.length replayed = List.length plan_headers
+    && List.for_all2 Header.equal replayed plan_headers
+  in
+  let nq = List.length !queries in
+  let checks =
+    (if agree then
+       pass "sat/headers-agree"
+         (Printf.sprintf
+            "replayed %d certified quer%s; headers match the plan's %d \
+             probe header(s) bit-for-bit"
+            nq
+            (if nq = 1 then "y" else "ies")
+            (List.length plan_headers))
+     else
+       fail "sat/headers-agree"
+         (Printf.sprintf
+            "certified replay yields %d header(s), plan carries %d, or \
+             some differ"
+            (List.length replayed) (List.length plan_headers)))
+    :: checks
+  in
+  let checks =
+    if List.exists (fun c -> not c.ok) checks then checks
+    else
+      let nsat =
+        List.length
+          (List.filter
+             (fun (c : Sat.Header_encoding.certified) -> Option.is_some c.header)
+             !queries)
+      in
+      pass "sat/certificates"
+        (Printf.sprintf
+           "%d Sat model(s) checked against every clause, %d Unsat \
+            answer(s) DRUP-checked"
+           nsat (nq - nsat))
+      :: checks
+  in
+  { title = "sat"; checks = List.rev checks }
 
 let sat_section (plan : Plan.t) =
   match plan.mode with
@@ -103,56 +187,9 @@ let sat_section (plan : Plan.t) =
           ];
       }
   | Plan.Static ->
-      let queries = ref [] in
-      let _, replayed =
-        List.fold_left
-          (fun (seen, acc) (p : Mlpc.Cover.path) ->
-            let h =
-              match sat_pick_certified ~distinct_from:seen p.start_space queries with
-              | Some h -> Some h
-              | None -> Option.map Header.of_cube (Hs.first_member p.start_space)
-            in
-            match h with
-            | Some h -> (h :: seen, h :: acc)
-            | None -> (seen, acc))
-          ([], []) plan.cover.paths
-      in
-      let replayed = List.rev replayed in
-      let checks = List.fold_left certify_query [] !queries in
-      let plan_headers = List.map (fun (p : Probe.t) -> p.header) plan.probes in
-      let agree =
-        List.length replayed = List.length plan_headers
-        && List.for_all2 Header.equal replayed plan_headers
-      in
-      let nq = List.length !queries in
-      let checks =
-        (if agree then
-           pass "sat/headers-agree"
-             (Printf.sprintf
-                "replayed %d certified quer%s; headers match the plan's %d \
-                 probe header(s) bit-for-bit"
-                nq
-                (if nq = 1 then "y" else "ies")
-                (List.length plan_headers))
-         else
-           fail "sat/headers-agree"
-             (Printf.sprintf
-                "certified replay yields %d header(s), plan carries %d, or \
-                 some differ"
-                (List.length replayed) (List.length plan_headers)))
-        :: checks
-      in
-      let checks =
-        if List.exists (fun c -> not c.ok) checks then checks
-        else
-          pass "sat/certificates"
-            (Printf.sprintf
-               "%d Sat model(s) checked against every clause, every Unsat \
-                answer DRUP-checked"
-               nq)
-          :: checks
-      in
-      { title = "sat"; checks = List.rev checks }
+      sat_headers
+        (List.map (fun (p : Mlpc.Cover.path) -> p.start_space) plan.cover.paths)
+        (List.map (fun (p : Probe.t) -> p.header) plan.probes)
 
 (* ------------------------------------------------------------------ *)
 (* Matching section: the MLPC bipartite graph (every closure edge

@@ -1,9 +1,10 @@
 (** Plan certification: re-establish each pipeline answer with an
     independent checker (see [lib/cert] and docs/CERTIFY.md).
 
-    Four sections: [sat] (proof-logged replay of the unique-header
-    queries — models checked against every clause, refutations
-    DRUP-checked, headers compared bit-for-bit with the plan's),
+    Four sections: [sat] (the lex-least unique headers rebuilt by
+    proof-logged SAT bit-fixing — models checked against every clause,
+    refutations DRUP-checked, headers compared bit-for-bit with the
+    plan's),
     [matching] (König-certified maximum matching of the MLPC bipartite
     graph; [|paths| = n_testable − |M|] certifies the cover minimum via
     Theorem 1), [cover] (cache-free replay of every probe's path
@@ -24,6 +25,13 @@ type report = {
 val run : ?yen_pairs:int -> ?seed:int -> Plan.t -> report
 (** Certify a generated plan. [yen_pairs] (default 8) source/destination
     samples are drawn with [seed] (default 7) for the Yen section. *)
+
+val sat_headers : Hspace.Hs.t list -> Hspace.Header.t list -> section
+(** The [sat] section on its own: rebuild the [Sat_unique] header of
+    each start space in order (the lex-least free member, by
+    proof-logged SAT bit-fixing) and compare with the given headers.
+    {!run} applies it to a Static plan's cover; plans lowered outside
+    {!Plan.t} (the sharded planner) pass their paths' start spaces. *)
 
 val run_patch :
   ?yen_pairs:int ->

@@ -88,6 +88,9 @@ val install_trap : t -> probe:int -> switch:int -> rule:int -> header:Hspace.Hea
     [(switch, rule, header)] key. *)
 
 val remove_probe_traps : t -> probe:int -> unit
+(** Remove every trap that still maps to [probe]; a key a later probe
+    overwrote keeps that probe's trap. Costs the number of traps
+    [probe] installed, not the size of the trap table. *)
 
 val clear_traps : t -> unit
 

@@ -8,39 +8,11 @@ type policy =
   | Random of Sdn_util.Prng.t
   | Traffic_weighted of Traffic.t * Sdn_util.Prng.t
 
-let sat_pick ~distinct_from hs =
-  (* Try each cube of the space until the SAT query finds a header that
-     differs from all previously chosen ones. Headers outside the cube
-     make their distinct-from clause vacuous (any model inside the cube
-     satisfies it), so only the taken headers inside the cube are
-     passed — which is what keeps the query small on thousand-path
-     covers. *)
-  match distinct_from with
-  | [] ->
-      (* Unconstrained query: the solver's model over [inside:[cube]]
-         alone is unit propagation of the fixed bits plus false for
-         every free bit — the cube's first member. Answering from the
-         cube directly (no solver instance) is what keeps header
-         assignment linear on thousand-path covers. *)
-      Option.map Header.of_cube (Hs.first_member hs)
-  | _ :: _ ->
-  let rec loop = function
-    | [] -> None
-    | cube :: rest -> (
-        let relevant = List.filter (fun h -> Header.matches h cube) distinct_from in
-        match
-          Sat.Header_encoding.find_header ~distinct_from:relevant ~inside:[ cube ]
-            (Cube.length cube)
-        with
-        | Some h -> Some h
-        | None -> loop rest)
-  in
-  loop (Hs.cubes hs)
+let first_member hs = Option.map Header.of_cube (Hs.first_member hs)
 
-let random_pick rng ~distinct_from hs =
+let random_pick rng ~taken hs =
   (* Rejection sampling for distinctness; falls back to a duplicate when
      the space is smaller than the number of paths sharing it. *)
-  let taken h = List.exists (Header.equal h) distinct_from in
   let rec loop attempts =
     match Hs.sample rng hs with
     | None -> None
@@ -52,21 +24,13 @@ let random_pick rng ~distinct_from hs =
   in
   loop 0
 
-let header_for_path ?(distinct_from = []) policy (p : Cover.path) =
-  match policy with
-  | Deterministic -> Option.map Header.of_cube (Hs.first_member p.Cover.start_space)
-  | Sat_unique -> (
-      match sat_pick ~distinct_from p.Cover.start_space with
-      | Some h -> Some h
-      | None ->
-          (* Space exhausted by distinctness constraints: fall back to a
-             (duplicate) deterministic member. *)
-          Option.map Header.of_cube (Hs.first_member p.Cover.start_space))
-  | Random rng -> random_pick rng ~distinct_from p.Cover.start_space
-  | Traffic_weighted (traffic, rng) -> (
-      match Traffic.sample_in traffic rng p.Cover.start_space with
-      | Some h -> Some h
-      | None -> random_pick rng ~distinct_from p.Cover.start_space)
+(* One draw of a randomized policy: from the observed traffic inside
+   the space when there is some, else uniform; [taken] steers the
+   rejection sampling of the uniform draw. *)
+let random_draw ~taken traffic rng hs =
+  match Option.bind traffic (fun t -> Traffic.sample_in t rng hs) with
+  | Some h -> Some h
+  | None -> random_pick rng ~taken hs
 
 (* Per-path PRNG streams: one generator per path, seeded from a single
    draw of the master generator and the path index (golden-ratio Weyl
@@ -82,14 +46,13 @@ type memo = {
   mutable transcript : (int list * Hs.t * Header.t option) array;
       (* (key, start space, chosen header) of every path of the last
          [assign], in path order. The chosen header at position [i] is a
-         pure function of the path's start space and the headers chosen
-         before it, so as long as a new cover's prefix matches the
-         transcript — same keys, same space representations (same cubes
-         in the same order, the order [sat_pick] tries them) — the
-         recorded choices replay verbatim, constrained SAT queries
-         included. The first mismatching position invalidates the rest
-         (its choice changes the seen-set every later query is
-         constrained by). *)
+         pure function of the path's start space and the {e set} of
+         headers chosen before it, so as long as a new cover's prefix
+         matches the transcript — same keys, same space representations
+         (same cubes in the same order, the order the lex-least search
+         tries them) — the recorded choices replay verbatim. The first
+         mismatching position invalidates the rest (its choice changes
+         the taken set every later pick depends on). *)
 }
 
 let memo_create () = { transcript = [||] }
@@ -97,6 +60,8 @@ let memo_create () = { transcript = [||] }
 let hs_repr_equal a b =
   let ca = Hs.cubes a and cb = Hs.cubes b in
   List.compare_lengths ca cb = 0 && List.for_all2 Cube.equal ca cb
+
+module Cube_tbl = Hashtbl.Make (Cube)
 
 let assign ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
     (cover : Cover.t) =
@@ -122,54 +87,42 @@ let assign ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
   in
   let nn = Array.length paths in
   let out = Array.make nn None in
-  (* [seen] feeds the constrained re-queries; the hash set answers the
-     per-path "is this header taken" membership test, which a list scan
-     would make quadratic in the cover size. *)
-  let seen = ref [] in
   let seen_tbl : (string, unit) Hashtbl.t = Hashtbl.create (max 16 nn) in
-  (* [Sat_unique] collision path: per-cube buckets of the already-taken
-     headers that lie inside the cube. [sat_pick] filters the whole
-     seen-list per query — quadratic in the cover size when thousands of
-     paths share a handful of popular cubes (destination routing). A
-     bucket is seeded with exactly that filter's result when its cube is
-     first queried and kept current by [record], always in the same
-     reverse-chronological order the filter would produce, so the solver
-     receives a byte-identical query and the output — certificate
-     replays included — is unchanged. *)
-  let buckets : (string, Header.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let registered : (Cube.t * Header.t list ref) list ref = ref [] in
-  let record h =
-    seen := h :: !seen;
-    Hashtbl.replace seen_tbl (Header.to_string h) ();
-    List.iter
-      (fun (cube, b) -> if Header.matches h cube then b := h :: !b)
-      !registered
-  in
-  let bucket_for cube =
-    let ckey = Cube.to_string cube in
-    match Hashtbl.find_opt buckets ckey with
-    | Some b -> b
-    | None ->
-        let b = ref (List.filter (fun h -> Header.matches h cube) !seen) in
-        Hashtbl.add buckets ckey b;
-        registered := (cube, b) :: !registered;
-        b
-  in
-  let pick_unique (p : Cover.path) =
-    let rec try_cubes = function
-      | [] ->
-          (* Every cube exhausted by distinctness: same duplicate
-             fallback as [header_for_path]. *)
-          Option.map Header.of_cube (Hs.first_member p.Cover.start_space)
-      | cube :: rest -> (
-          match
-            Sat.Header_encoding.find_header ~distinct_from:!(bucket_for cube)
-              ~inside:[ cube ] (Cube.length cube)
-          with
-          | Some h -> Some h
-          | None -> try_cubes rest)
+  let taken h = Hashtbl.mem seen_tbl (Header.to_string h) in
+  let record h = Hashtbl.replace seen_tbl (Header.to_string h) () in
+  (* [Sat_unique]: the lex-least free member of the first cube that has
+     one. Each cube keeps a cursor, an index in [Cube.nth_member] order
+     (lexicographic over the free bits), below which every member is
+     taken. The taken set only grows within one call, so a cursor only
+     moves forward and each collision costs amortized O(1) steps. A
+     cube is exhausted when its cursor passes its 2^free members (never,
+     at 62 or more free bits). *)
+  let cursors : int ref Cube_tbl.t = Cube_tbl.create 64 in
+  let lex_least_free cube =
+    let cur =
+      match Cube_tbl.find_opt cursors cube with
+      | Some c -> c
+      | None ->
+          let c = ref 0 in
+          Cube_tbl.add cursors cube c;
+          c
     in
-    try_cubes (Hs.cubes p.Cover.start_space)
+    let free = Cube.wildcard_count cube in
+    let rec scan () =
+      if free < 62 && !cur >= 1 lsl free then None
+      else
+        let h = Header.of_cube (Cube.nth_member cube !cur) in
+        if taken h then (incr cur; scan ()) else Some h
+    in
+    scan ()
+  in
+  let unique_pick hs =
+    match List.find_map lex_least_free (Hs.cubes hs) with
+    | Some h -> Some h
+    | None ->
+        (* Every cube exhausted by distinctness: reuse a (duplicate)
+           deterministic member rather than drop the path. *)
+        first_member hs
   in
   (* Replay the memoized transcript while the cover's prefix matches it
      (see the [memo] type), then assign normally from the first
@@ -193,23 +146,22 @@ let assign ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
         done;
         !i
   in
-  (* One pass in path order: take the path's unconstrained pick unless
-     an earlier path took it, else run the constrained query. For
-     [Sat_unique] this is the fold of [header_for_path ~distinct_from]
-     because the solver returns the first member of a cube whenever that
-     member is not taken (test_sat pins this); a randomized path draws
-     its constrained pick from the same stream as its unconstrained
-     one. *)
+  (* One pass in path order. A randomized path takes its unconstrained
+     draw unless an earlier path took it, and only then draws again,
+     from the same stream, rejecting taken headers. *)
   for i = start to nn - 1 do
-    let p = paths.(i) and pol = per_path i in
-    let taken h = Hashtbl.mem seen_tbl (Header.to_string h) in
-    let h =
-      match header_for_path pol p with
+    let hs = paths.(i).Cover.start_space in
+    let draw traffic rng =
+      match random_draw ~taken:(fun _ -> false) traffic rng hs with
       | Some h when not (taken h) -> Some h
-      | _ -> (
-          match pol with
-          | Sat_unique -> pick_unique p
-          | _ -> header_for_path ~distinct_from:!seen pol p)
+      | _ -> random_draw ~taken traffic rng hs
+    in
+    let h =
+      match per_path i with
+      | Deterministic -> first_member hs
+      | Sat_unique -> unique_pick hs
+      | Random rng -> draw None rng
+      | Traffic_weighted (traffic, rng) -> draw (Some traffic) rng
     in
     out.(i) <- h;
     match h with Some h -> record h | None -> ()

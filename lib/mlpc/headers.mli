@@ -6,9 +6,12 @@
     - [Deterministic]: the canonical first member of the space —
       SDNProbe's static choice (its predictability is exactly what
       targeting faults exploit, reproduced in the evaluation);
-    - [Sat_unique]: like the paper's MiniSat-based §VI selection —
-      headers are pairwise distinct across paths, so the exact-match
-      test flow entries can only fire on test packets;
+    - [Sat_unique]: the paper's §VI unique headers — pairwise distinct
+      across paths, so the exact-match test flow entries can only fire
+      on test packets. The paper finds them with MiniSat; here each
+      path takes the lexicographically least free member of its space,
+      and the SAT solver certifies that answer afterwards
+      ([Sdnprobe.Certify]'s [sat] section);
     - [Random]: Randomized SDNProbe's per-round uniform draw from the
       start space (still pairwise distinct, by rejection). *)
 
@@ -52,21 +55,11 @@ val assign :
     distinct whenever the spaces admit it; if a space is exhausted the
     path reuses a duplicate header rather than being dropped.
 
-    One pass in path order: each path takes its unconstrained pick (the
-    first member of its space for [Sat_unique]) unless an earlier path
-    took it, and only then runs the constrained query. For [Sat_unique]
-    this equals folding {!header_for_path} with [~distinct_from] over
-    the paths, because the SAT solver returns a cube's first member
-    whenever that member is not taken. The solver is {e not}
-    lexicographically least in general: with the first member taken it
-    may return any free member (inside [xx], with [00] then [01] taken,
-    it answers [11], not [10]). Randomized
-    policies draw from per-path streams seeded by
+    One pass in path order. A [Sat_unique] path takes the
+    lexicographically least member (over the free bits, in
+    [Hspace.Cube.nth_member] order) of the first cube of its space that
+    still has a member no earlier path took; when every cube is
+    exhausted it reuses the space's first member. The answer depends
+    only on the {e set} of earlier headers, not on their order.
+    Randomized policies draw from per-path streams seeded by
     [(master draw, path index)]. *)
-
-val header_for_path :
-  ?distinct_from:Hspace.Header.t list ->
-  policy ->
-  Cover.path ->
-  Hspace.Header.t option
-(** Header for a single path. *)

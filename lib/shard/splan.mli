@@ -13,7 +13,7 @@
     unchanged.
 
     Every step is deterministic (BFS partition, region-order joins,
-    plan-order greedy stitching, canonical SAT models), so a sharded
+    plan-order greedy stitching, lex-least unique headers), so a sharded
     plan is byte-identical at any domain count — same contract as the
     flat pipeline.
 
@@ -57,10 +57,7 @@ val create :
 
     [~assign_headers:false] stops after the structural build —
     partition, per-region graphs and covers, stitching — leaving
-    [probes] empty but [stats] complete. Header assignment is
-    byte-pinned to the SAT solver and quadratic in start-space
-    collisions, so at very large scales the structural build is the
-    part worth measuring (and the part [shard.build] benches). *)
+    [probes] empty but [stats] complete (what [shard.build] benches). *)
 
 val size : t -> int
 (** Number of probes. *)

@@ -566,6 +566,45 @@ let test_certify_figure3 () =
   if not (Sdnprobe.Certify.ok_report report) then
     Alcotest.fail (Format.asprintf "%a" Sdnprobe.Certify.pp report)
 
+(* Mutation: swap the first probe's header for another free member of
+   the same start-space cube that sorts after it. The probe still
+   traverses its path, but the header is not the lex-least free one,
+   so the bit-fixing replay disagrees. *)
+let test_certify_rejects_non_lex_least_header () =
+  let _, plan = figure3_plan () in
+  let headers =
+    List.map
+      (fun (p : Sdnprobe.Probe.t) -> p.Sdnprobe.Probe.header)
+      plan.Sdnprobe.Plan.probes
+  in
+  let first = List.hd plan.Sdnprobe.Plan.probes in
+  let path = List.hd plan.Sdnprobe.Plan.cover.Mlpc.Cover.paths in
+  let h = first.Sdnprobe.Probe.header in
+  let cube =
+    List.find (Header.matches h) (Hs.cubes path.Mlpc.Cover.start_space)
+  in
+  let swapped =
+    List.init (1 lsl Cube.wildcard_count cube) (fun k ->
+        Header.of_cube (Cube.nth_member cube k))
+    |> List.find (fun h' ->
+           Header.compare h' h > 0 && not (List.exists (Header.equal h') headers))
+  in
+  let plan' =
+    {
+      plan with
+      Sdnprobe.Plan.probes =
+        { first with Sdnprobe.Probe.header = swapped }
+        :: List.tl plan.Sdnprobe.Plan.probes;
+    }
+  in
+  let report = Sdnprobe.Certify.run plan' in
+  let agree =
+    List.concat_map (fun (s : Sdnprobe.Certify.section) -> s.checks) report.sections
+    |> List.find (fun (c : Sdnprobe.Certify.check) -> c.name = "sat/headers-agree")
+  in
+  check_bool "sat/headers-agree fails" false agree.ok;
+  check_bool "report rejected" false (Sdnprobe.Certify.ok_report report)
+
 let test_certify_json_shape () =
   let _, plan = figure3_plan () in
   let json = Sdnprobe.Certify.to_json (Sdnprobe.Certify.run plan) in
@@ -748,6 +787,8 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "figure 3" `Quick test_certify_figure3;
+          Alcotest.test_case "rejects non-lex-least header" `Quick
+            test_certify_rejects_non_lex_least_header;
           Alcotest.test_case "16-switch workload" `Quick test_certify_16_switches;
           Alcotest.test_case "50-switch workload" `Slow test_certify_50_switches;
           Alcotest.test_case "json report shape" `Quick test_certify_json_shape;

@@ -181,6 +181,31 @@ let test_trap_mid_path () =
   | Emu.Returned { probe = 3; at_switch = 1; _ } -> ()
   | _ -> Alcotest.fail "expected mid-path return"
 
+(* Two probes install the same key: the later one owns it, and removing
+   the earlier probe leaves the later probe's trap in place. *)
+let test_trap_overwrite () =
+  let { Fixtures.cnet; r_c; _ } = Fixtures.chain3 () in
+  let emu = Emu.create cnet in
+  let install probe =
+    Emu.install_trap emu ~probe ~switch:2 ~rule:r_c.FE.id ~header:(h "10000001")
+  in
+  let returned_to () =
+    match (Emu.inject emu ~at:0 (h "10000001")).Emu.outcome with
+    | Emu.Returned { probe; _ } -> Some probe
+    | _ -> None
+  in
+  install 4;
+  install 5;
+  Emu.remove_probe_traps emu ~probe:4;
+  Alcotest.(check (option int)) "later probe keeps the trap" (Some 5) (returned_to ());
+  Emu.remove_probe_traps emu ~probe:5;
+  Alcotest.(check (option int)) "gone with its owner" None (returned_to ());
+  (* Removal is one-shot: a re-install after it is live again. *)
+  install 4;
+  Alcotest.(check (option int)) "re-installed" (Some 4) (returned_to ());
+  Emu.clear_traps emu;
+  Alcotest.(check (option int)) "cleared" None (returned_to ())
+
 (* ------------------------------------------------------------------ *)
 (* Faults through the emulator *)
 
@@ -353,6 +378,7 @@ let () =
           Alcotest.test_case "returns" `Quick test_trap_returns;
           Alcotest.test_case "wrong rule" `Quick test_trap_wrong_rule;
           Alcotest.test_case "mid path" `Quick test_trap_mid_path;
+          Alcotest.test_case "overwrite" `Quick test_trap_overwrite;
         ] );
       ( "faults",
         [

@@ -243,6 +243,92 @@ let test_headers_sat_unique () =
       check_bool "in start space" true (Hs.mem (h :> Cube.t) p.Cover.start_space))
     assigned
 
+(* [Sat_unique] is the lex-least unique assignment: each path takes the
+   least free header, in string order, of the first cube of its space
+   that has one, else its space's first member (a duplicate). The
+   oracle enumerates every header of the length in string order and
+   keeps the cube's members, sharing nothing with the planner's
+   per-cube cursors. *)
+let path_of_cubes len i cubes =
+  { Cover.vertices = [ i ]; rules = [ i ]; start_space = Hs.of_cubes len cubes }
+
+let brute_lex_least (cover : Cover.t) =
+  let taken = Hashtbl.create 16 in
+  List.map
+    (fun (p : Cover.path) ->
+      let len = Hs.length p.Cover.start_space in
+      let in_string_order cube =
+        List.init (1 lsl len) (fun v ->
+            String.init len (fun k ->
+                if (v lsr (len - 1 - k)) land 1 = 1 then '1' else '0'))
+        |> List.filter (fun s -> Cube.member ~header:(Cube.of_string s) cube)
+      in
+      let h =
+        match
+          List.find_map
+            (fun cube ->
+              List.find_opt (fun s -> not (Hashtbl.mem taken s)) (in_string_order cube))
+            (Hs.cubes p.Cover.start_space)
+        with
+        | Some s -> s
+        | None ->
+            Cube.to_string (Option.get (Hs.first_member p.Cover.start_space))
+      in
+      Hashtbl.replace taken h ();
+      h)
+    cover.Cover.paths
+
+let sat_unique_strings ?memo cover =
+  List.map
+    (fun (_, h) -> Header.to_string h)
+    (Headers.assign ?memo Headers.Sat_unique cover)
+
+let test_headers_lex_least_examples () =
+  let len = 2 in
+  let cube = Cube.of_string in
+  let cover =
+    {
+      Cover.paths =
+        [
+          path_of_cubes len 0 [ cube "xx" ];
+          path_of_cubes len 1 [ cube "0x" ];
+          path_of_cubes len 2 [ cube "0x"; cube "11" ];
+          path_of_cubes len 3 [ cube "xx" ];
+          path_of_cubes len 4 [ cube "0x"; cube "11" ];
+        ];
+      untestable = [];
+    }
+  in
+  let got = sat_unique_strings cover in
+  (* 0x is exhausted at path 2 (the search moves to 11) and both its
+     cubes are at path 4 (the duplicate fallback). *)
+  Alcotest.(check (list string)) "assignment" [ "00"; "01"; "11"; "10"; "00" ] got
+
+let prop_sat_unique_lex_least =
+  QCheck.Test.make ~count:300 ~name:"Sat_unique = brute-force lex-least fold"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
+    (fun (seed, len) ->
+      let rng = Prng.create seed in
+      let n = 1 + Prng.int rng 40 in
+      let cover =
+        {
+          Cover.paths =
+            List.init n (fun i ->
+                path_of_cubes len i
+                  (List.init (1 + Prng.int rng 3) (fun _ ->
+                       Cube.random rng ~wildcard_prob:0.4 len)));
+          untestable = [];
+        }
+      in
+      (* A memo warmed on a prefix replays it and assigns the rest. *)
+      let memo = Headers.memo_create () in
+      let k = Prng.int rng (n + 1) in
+      ignore
+        (sat_unique_strings ~memo
+           { cover with Cover.paths = List.filteri (fun i _ -> i < k) cover.Cover.paths });
+      let cold = sat_unique_strings cover in
+      cold = brute_lex_least cover && sat_unique_strings ~memo cover = cold)
+
 let test_headers_random () =
   let cover = LM.solve (Lazy.force rg) in
   let a1 = Headers.assign (Headers.Random (Prng.create 1)) cover in
@@ -352,6 +438,8 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_headers_deterministic;
           Alcotest.test_case "sat unique" `Quick test_headers_sat_unique;
+          Alcotest.test_case "lex-least examples" `Quick test_headers_lex_least_examples;
+          QCheck_alcotest.to_alcotest prop_sat_unique_lex_least;
           Alcotest.test_case "random" `Quick test_headers_random;
         ] );
       ( "traffic",

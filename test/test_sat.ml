@@ -233,12 +233,11 @@ let prop_find_matches_hs =
       | Some h -> Hs.mem (h :> Cube.t) hs
       | None -> Hs.is_empty hs)
 
-(* What header assignment relies on (Mlpc.Headers.assign takes a path's
-   unconstrained pick, the cube's first member, whenever no earlier path
-   took it): a distinct-from query inside one cube returns the cube's
-   first member whenever that member is not among the taken headers.
-   The taken headers are members of the cube, as in the assignment's
-   per-cube buckets. *)
+(* A distinct-from query inside one cube returns the cube's first
+   member whenever that member is not among the taken headers (members
+   of the cube). On such a cube the certifier's bit-fixing replay of
+   the lex-least headers (Sdnprobe.Certify) is done after one query:
+   the witness already has every free bit 0. *)
 let prop_first_member_when_free =
   let gen =
     QCheck.Gen.(
@@ -275,8 +274,10 @@ let prop_first_member_when_free =
 (* ...and nothing stronger: once the first member is taken the answer
    need not be the lexicographically least free member (phase saving
    and activity bumping steer the search). The taken list is newest
-   first, as the assignment's buckets hold it: 00 was taken, then 01;
-   the least free member is 10. *)
+   first: 00 was taken, then 01; the least free member is 10. This is
+   why header assignment picks lex-least members with a cursor of its
+   own and the solver only certifies them, by bit-fixing
+   ([Sdnprobe.Certify]): a raw model is no canonical answer. *)
 let test_not_lex_least () =
   let h =
     HE.find_header

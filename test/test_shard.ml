@@ -142,12 +142,32 @@ let test_splan_identical_across_domains () =
 (* Golden digest for the sharded plan (16 switches, seed 1, target 4 —
    6 regions, stitched cross-border probes), pinned under a 4-domain
    pool. If this moves, the sharded planner's bytes changed: partition,
-   stitch order, lowering, or header assignment. *)
+   stitch order, lowering, or header assignment. The headers are the
+   lex-least unique assignment, and the certifier's SAT section agrees:
+   rebuilt by proof-logged bit-fixing over each probe's start space
+   (the backward preimage of its rule sequence), they match bit for
+   bit. *)
 let test_splan_golden () =
   let net = make_net ~switches:16 ~seed:1 in
   let sp = splan ~domains:4 ~target:4 net in
-  check_str "golden sharded digest" "af4518200c274702c3431867809026c8"
-    (digest sp.Splan.probes)
+  check_str "golden sharded digest" "d496aa408ff738a643cd3145c1c4148c"
+    (digest sp.Splan.probes);
+  let rg = Rulegraph.Rule_graph.build net in
+  let spaces =
+    List.map
+      (fun (p : Sdnprobe.Probe.t) ->
+        Rulegraph.Rule_graph.start_space rg
+          (List.map (Rulegraph.Rule_graph.vertex_of_entry rg) p.Sdnprobe.Probe.rules))
+      sp.Splan.probes
+  in
+  let section =
+    Sdnprobe.Certify.sat_headers spaces
+      (List.map (fun (p : Sdnprobe.Probe.t) -> p.Sdnprobe.Probe.header) sp.Splan.probes)
+  in
+  List.iter
+    (fun (c : Sdnprobe.Certify.check) ->
+      if not c.ok then Alcotest.failf "%s: %s" c.name c.detail)
+    section.Sdnprobe.Certify.checks
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical slicing & region suspicion *)
